@@ -191,7 +191,29 @@ type churnTrial struct {
 	trial uint64
 	zone  int
 	g     prng
+
+	// cancel, when non-nil, is the run's cancellation signal, polled
+	// before every trial and every flapPollSteps steps of a flap walk;
+	// stopped records that it fired.
+	cancel  <-chan struct{}
+	stopped bool
 }
+
+// poll reports whether the run's cancellation signal has fired.
+func (ct *churnTrial) poll() bool {
+	select {
+	case <-ct.cancel:
+		ct.stopped = true
+	default:
+	}
+	return ct.stopped
+}
+
+// flapPollSteps is how many flap steps a walk takes between polls of
+// its cancellation signal: a walk to an arrival at time t takes about
+// t divided by the mean holding time, which a long latency makes
+// arbitrarily many.
+const flapPollSteps = 4096
 
 // reset rebinds the context to one trial, drawing the trial's zone for
 // zoneout plans.
@@ -205,7 +227,8 @@ func (ct *churnTrial) reset(c *Churn, seed uint64, trial int) {
 
 // colorAt returns the state of element e at virtual time t, given its
 // color in the initial coloring. It is a pure function of
-// (plan, seed, trial, e, t) and allocates nothing.
+// (plan, seed, trial, e, t) and allocates nothing. A flap walk cut
+// short by cancellation sets ct.stopped and returns a meaningless color.
 //
 //quorum:hotpath
 func (c *Churn) colorAt(ct *churnTrial, e int, t float64, base coloring.Color) coloring.Color {
@@ -216,7 +239,10 @@ func (c *Churn) colorAt(ct *churnTrial, e int, t float64, base coloring.Color) c
 		// at any parallelism.
 		ct.g.seed(ct.seed^saltFlap^elemSalt(e), ct.trial)
 		state := base
-		for at := 0.0; ; {
+		for at, steps := 0.0, 1; ; steps++ {
+			if steps%flapPollSteps == 0 && ct.poll() {
+				return state
+			}
 			mean := c.upMS
 			if state == coloring.Red {
 				mean = c.downMS
@@ -252,7 +278,7 @@ func (c *Churn) colorAt(ct *churnTrial, e int, t float64, base coloring.Color) c
 }
 
 // PRNG stream salts: every derived stream of a trial — latency draws,
-// flap walks, zone choices, randomized-strategy replays — mixes its own
+// flap walks, zone choices, randomized-strategy runs — mixes its own
 // salt into the scenario seed, so streams never alias each other or the
 // initial-coloring stream (which is deliberately unsalted: it must
 // consume exactly the static engine's (seed, trial) stream for the

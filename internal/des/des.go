@@ -11,14 +11,21 @@
 // outcomes by trial index, so summaries are bit-identical at any worker
 // count.
 //
-// The paper's probe strategies become *schedulers* here: a strategy is
-// replayed against the colors observed so far (speculating green for
-// probes still in flight) to decide the next element to issue, which
-// turns every deterministic and randomized strategy of the static
-// engine into a policy for the temporal one without reimplementing any
-// of them. With zero latency, zero churn and the sequential discipline
-// a timed trial issues exactly the probe sequence of the static engine
-// — the differential the façade tests pin.
+// The paper's probe strategies become *schedulers* here, without
+// reimplementing any of them. Each worker runs the strategy as one
+// resumable coroutine (iter.Pull) against a cursor oracle: elements with
+// an observed color answer at once, and the first probe of any other
+// element parks the run. The trial loop resumes it with the element's
+// arrived color, or — while the issue window has room, or when a hedge
+// timer grants one issue past it — with a speculative green for a probe
+// in flight; a parked element with no probe in flight is the next one
+// to issue. The run restarts from its first probe only when a
+// speculative green it consumed arrives red; the discarded run first
+// winds down against the trial's initial coloring, so it returns like
+// any other. A trial is complete when the run has returned with no
+// speculative green still in flight. With zero latency, zero churn and
+// the sequential discipline a timed trial issues exactly the probe
+// sequence of the static engine — the differential the façade tests pin.
 package des
 
 import "fmt"

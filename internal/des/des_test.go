@@ -2,10 +2,14 @@ package des
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"probequorum/internal/coloring"
 	"probequorum/internal/probe"
@@ -497,6 +501,245 @@ func TestRunCtxValidation(t *testing.T) {
 	} {
 		if _, err := RunCtx(context.Background(), p); err == nil {
 			t.Fatalf("RunCtx(%+v): want error", p)
+		}
+	}
+}
+
+// hookedMaj is a test-only Maj whose strategies count their runs and,
+// when hook is set, call it with each run's 1-based index first. A
+// sequential trial makes exactly two runs in order: the static baseline
+// and the timed run.
+type hookedMaj struct {
+	*systems.Maj
+	runs atomic.Int64
+	hook func(run int64, o probe.Oracle)
+}
+
+func newHookedMaj(t *testing.T, n int, hook func(run int64, o probe.Oracle)) *hookedMaj {
+	t.Helper()
+	m, err := systems.NewMaj(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &hookedMaj{Maj: m, hook: hook}
+}
+
+func (m *hookedMaj) enter(o probe.Oracle) {
+	if run := m.runs.Add(1); m.hook != nil {
+		m.hook(run, o)
+	}
+}
+
+func (m *hookedMaj) ProbeWitness(o probe.Oracle) probe.Witness {
+	m.enter(o)
+	return m.Maj.ProbeWitness(o)
+}
+
+func (m *hookedMaj) ProbeWitnessRandomized(o probe.Oracle, rng *rand.Rand) probe.Witness {
+	m.enter(o)
+	return m.Maj.ProbeWitnessRandomized(o, rng)
+}
+
+// TestRunCtxCancelBetweenTrials pins the per-trial cancellation check:
+// a context canceled during trial 1 of a single-chunk sequential run
+// stops the worker before trial 2, so the strategy runs exactly four
+// times (two per trial).
+func TestRunCtxCancelBetweenTrials(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sys := newHookedMaj(t, 5, func(run int64, _ probe.Oracle) {
+		if run == 3 { // trial 1's static run
+			cancel()
+		}
+	})
+	sc := mustCompile(t, Options{Latency: "exp:2"})
+	_, err := RunCtx(ctx, Params{Sys: sys, Scenario: sc, P: 0.3, Trials: trialChunk, Seed: 1, Workers: 1})
+	if err != context.Canceled {
+		t.Fatalf("run canceled mid-chunk returned %v, want context.Canceled", err)
+	}
+	if got := sys.runs.Load(); got != 4 {
+		t.Fatalf("%d strategy runs after cancellation in trial 1, want 4", got)
+	}
+}
+
+// TestRunCtxDeadlineInFlapWalk pins the churn-walk cancellation check:
+// with probes taking 1e7 virtual ms and elements flapping every ~1 ms,
+// each arrival walks ~1e7 flap steps (seconds of CPU per trial), yet a
+// 10 ms deadline must end the run promptly with its error.
+func TestRunCtxDeadlineInFlapWalk(t *testing.T) {
+	sys, err := systems.NewMaj(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := mustCompile(t, Options{Latency: "const:1e7", Churn: "flap:1,1"})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = RunCtx(ctx, Params{Sys: sys, Scenario: sc, P: 0.3, Trials: 4, Seed: 1, Workers: 1})
+	if err != context.DeadlineExceeded {
+		t.Fatalf("deadline run returned %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("run returned %v after a 10ms deadline, want within 1s", elapsed)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms: workers of earlier runs may still be unwinding.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 20; still++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// waitGoroutines waits for the goroutine count to fall back to at most
+// base: a finished worker may still be unwinding when RunCtx returns.
+func waitGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after a %s run: %d goroutines, want at most %d", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunCtxGoroutineLeak checks that every worker releases its
+// strategy coroutine: after a completed run, a canceled run and a run
+// whose strategy panics mid-trial (which must still answer with the
+// typed ScenarioError), the goroutine count is back where it started.
+func TestRunCtxGoroutineLeak(t *testing.T) {
+	sc := mustCompile(t, Options{Latency: "exp:3", Window: 4, HedgeMS: 2, Churn: "flap:30,10"})
+	base := settledGoroutines()
+
+	if _, err := RunCtx(context.Background(), Params{Sys: newHookedMaj(t, 101, nil), Scenario: sc, P: 0.3, Trials: 200, Seed: 3, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base, "completed")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	canceling := newHookedMaj(t, 101, func(run int64, _ probe.Oracle) {
+		if run == 50 {
+			cancel()
+		}
+	})
+	if _, err := RunCtx(ctx, Params{Sys: canceling, Scenario: sc, P: 0.3, Trials: 200, Seed: 3, Workers: 4}); err != context.Canceled {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	cancel()
+	waitGoroutines(t, base, "canceled")
+
+	// Run 2 is trial 0's timed run: the panic fires inside the coroutine,
+	// after the run has parked and been resumed on two probes.
+	panicking := newHookedMaj(t, 101, func(run int64, o probe.Oracle) {
+		if run == 2 {
+			o.Probe(0)
+			o.Probe(1)
+			panic("strategy blew up")
+		}
+	})
+	_, err := RunCtx(context.Background(), Params{Sys: panicking, Scenario: sc, P: 0.3, Trials: 10, Seed: 3, Workers: 1})
+	var se *ScenarioError
+	if !errors.As(err, &se) || !strings.Contains(se.Msg, "strategy blew up") {
+		t.Fatalf("panicking strategy returned %v, want a *ScenarioError carrying the panic", err)
+	}
+	waitGoroutines(t, base, "panicking")
+}
+
+// strategyAllocs returns the allocations one run of sys's strategy makes
+// on its own, against a reused static oracle.
+func strategyAllocs(sys *hookedMaj, randomized bool) float64 {
+	col := coloring.New(sys.Size())
+	coloring.IIDInto(col, 0.3, rand.New(rand.NewPCG(1, 2)))
+	o := probe.NewOracle(col)
+	rng := rand.New(rand.NewPCG(3, 4))
+	return testing.AllocsPerRun(20, func() {
+		o.Reset()
+		if randomized {
+			sys.Maj.ProbeWitnessRandomized(o, rng)
+		} else {
+			sys.Maj.ProbeWitness(o)
+		}
+	})
+}
+
+// trialAllocs measures timed trials of sys on a warmed worker: their
+// average allocations, events and strategy runs per trial.
+func trialAllocs(t *testing.T, sys *hookedMaj, o Options, p float64) (allocs, events, runs float64) {
+	t.Helper()
+	sched, err := NewScheduler(sys, o.Randomized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTrialState(sched, mustCompile(t, o), nil)
+	defer ts.close()
+	for trial := 0; trial < 4; trial++ {
+		ts.runTrial(p, 7, trial, nil)
+	}
+	const measured = 20
+	var call, trial, totalEvents, totalRuns int64 = 0, 4, 0, 0
+	allocs = testing.AllocsPerRun(measured, func() {
+		before := sys.runs.Load()
+		out, _ := ts.runTrial(p, 7, int(trial), nil)
+		trial++
+		// AllocsPerRun's first call is an unmeasured warm-up.
+		if call++; call > 1 {
+			totalEvents += int64(out.events)
+			totalRuns += sys.runs.Load() - before
+		}
+	})
+	return allocs, float64(totalEvents) / measured, float64(totalRuns) / measured
+}
+
+// TestTrialAllocsSequential pins the sequential discipline's allocation
+// profile: a maj:1025 trial processes hundreds of events, yet allocates
+// only what its two strategy runs (the static baseline and the timed
+// run) allocate themselves — nothing per event.
+func TestTrialAllocsSequential(t *testing.T) {
+	sys := newHookedMaj(t, 1025, nil)
+	own := strategyAllocs(sys, false)
+	allocs, events, runs := trialAllocs(t, sys, Options{Latency: "exp:3"}, 0.3)
+	t.Logf("%v allocations, %v events, %v strategy runs per trial", allocs, events, runs)
+	if events < 500 {
+		t.Fatalf("only %v events per trial; the bound below needs a long trial", events)
+	}
+	if runs != 2 {
+		t.Fatalf("%v strategy runs per sequential trial, want 2 (static and timed)", runs)
+	}
+	if allocs > 2*own {
+		t.Fatalf("sequential maj:1025 trial allocated %v times over %v events, want at most its two strategy runs' %v",
+			allocs, events, 2*own)
+	}
+}
+
+// TestTrialAllocsWindowed pins the windowed and hedged disciplines'
+// allocation profile. The event loop allocates nothing: a trial's only
+// allocations are its strategy runs' own — the static run, the first
+// timed run, and one more per restart (a consumed speculative green
+// arriving red). At p = 0.3 that stays under two per event.
+func TestTrialAllocsWindowed(t *testing.T) {
+	for _, o := range []Options{
+		{Latency: "exp:2", Window: 8},
+		{Latency: "exp:2", Churn: "flap:40,8", Window: 8, HedgeMS: 6},
+		{Latency: "exp:2", Window: 4, Randomized: true},
+	} {
+		sys := newHookedMaj(t, 129, nil)
+		own := strategyAllocs(sys, o.Randomized)
+		allocs, events, runs := trialAllocs(t, sys, o, 0.3)
+		t.Logf("%+v: %v allocations, %v events, %v strategy runs per trial", o, allocs, events, runs)
+		if allocs > own*runs {
+			t.Errorf("%+v: %v allocations per trial, above its %v strategy runs' own %v",
+				o, allocs, runs, own*runs)
+		}
+		if perEvent := allocs / events; perEvent > 2 {
+			t.Errorf("%+v: %v allocations over %v events per trial (%.3f per event), want at most 2 per event",
+				o, allocs, events, perEvent)
 		}
 	}
 }

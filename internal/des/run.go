@@ -70,7 +70,8 @@ type Result struct {
 }
 
 // RunCtx simulates p.Trials timed trials and aggregates them. It stops
-// early with ctx's error when the context is canceled mid-run.
+// early with ctx's error when the context is canceled mid-run: workers
+// poll ctx before every trial and inside long flap churn walks.
 func RunCtx(ctx context.Context, p Params) (Result, error) {
 	if p.Sys == nil {
 		return Result{}, scenErrf("nil system")
@@ -113,13 +114,11 @@ func RunCtx(ctx context.Context, p Params) (Result, error) {
 					panicked.CompareAndSwap(nil, fmt.Sprintf("des: trial worker panicked: %v", r))
 				}
 			}()
-			ts := newTrialState(sched, p.Scenario)
+			ts := newTrialState(sched, p.Scenario, ctx.Done())
+			defer ts.close()
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= chunks {
-					return
-				}
-				if ctx.Err() != nil {
 					return
 				}
 				lo, hi := c*trialChunk, (c+1)*trialChunk
@@ -127,7 +126,10 @@ func RunCtx(ctx context.Context, p Params) (Result, error) {
 					hi = p.Trials
 				}
 				for i := lo; i < hi; i++ {
-					outcomes[i] = ts.runTrial(p.P, p.Seed, i, nil)
+					var ok bool
+					if outcomes[i], ok = ts.runTrial(p.P, p.Seed, i, nil); !ok {
+						return
+					}
 				}
 			}
 		}()
@@ -205,7 +207,8 @@ func issueOrder(sys quorum.System, sc *Scenario, p float64, seed uint64, trial i
 	if err != nil {
 		return nil, err
 	}
-	ts := newTrialState(sched, sc)
+	ts := newTrialState(sched, sc, nil)
+	defer ts.close()
 	ts.runTrial(p, seed, trial, col)
 	out := make([]int, len(ts.issueOrder))
 	copy(out, ts.issueOrder)

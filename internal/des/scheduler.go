@@ -1,6 +1,7 @@
 package des
 
 import (
+	"iter"
 	"math/rand/v2"
 
 	"probequorum/internal/bitset"
@@ -11,9 +12,9 @@ import (
 )
 
 // Scheduler adapts a system's probe strategy into a temporal policy: the
-// strategy is replayed against the colors observed so far to decide the
-// next element to issue. A Scheduler is immutable and safe for
-// concurrent use; each worker carries its own replay state.
+// strategy runs against the colors observed so far, and the element it
+// asks for next is the one to issue. A Scheduler is immutable and safe
+// for concurrent use; each worker carries its own strategyRun.
 //
 // Resolution mirrors the façade's witness dispatch: the system's own
 // Prober (or RandomizedProber) strategy when it has one, else the
@@ -33,9 +34,8 @@ type schedulable interface {
 
 // NewScheduler resolves the probe strategy of sys into a Scheduler.
 // With randomized set, the system's randomized worst-case strategy is
-// used; its random choices are drawn from a fresh per-replay stream
-// derived from (seed, trial), so replays within a trial retrace each
-// other deterministically.
+// used; its random choices are drawn from a per-run stream derived from
+// (seed, trial), so every run within a trial starts from the same draws.
 func NewScheduler(sys quorum.System, randomized bool) (*Scheduler, error) {
 	s := &Scheduler{n: sys.Size(), randomized: randomized}
 	if randomized {
@@ -68,111 +68,186 @@ func NewScheduler(sys quorum.System, randomized bool) (*Scheduler, error) {
 	return s, nil
 }
 
-// replayStop is the panic sentinel that aborts a replay at the first
-// probe of an element whose color is not yet known: that element is the
-// strategy's next choice.
-type replayStop struct{}
-
-// replayOracle is the probe.Oracle a replay answers from. Elements with
-// an observed color answer it; elements with a probe in flight answer a
-// speculative green (the optimistic assumption the window and hedge
-// disciplines run ahead on); the first probe of any other element aborts
-// the replay via panic(replayStop{}).
+// cursor is the probe.Oracle a strategy run answers from. An element
+// with an observed color answers it at once; the first probe of any
+// other element parks the run (the coroutine yields the element) until
+// the trial loop resumes it with an answer. Once abandoned, the cursor
+// answers every remaining probe from the trial's initial coloring, so
+// a run being discarded winds down to an ordinary return.
 //
-// Probe accounting mimics ColoringOracle: distinct elements only, so a
-// strategy consulting Probes() mid-run sees exactly what it would see
-// against the static oracle.
-type replayOracle struct {
-	known      []coloring.Color // indexed by element; 0 = unknown
-	inflight   *bitset.Set      // elements answering speculative green
-	probed     *bitset.Set
-	count      int
-	next       int
-	speculated bool
+// Each element is answered at most once per run and repeated probes get
+// the same answer, so the run sees one consistent coloring. Probe
+// accounting mimics ColoringOracle: distinct elements only.
+type cursor struct {
+	known   []coloring.Color // observed colors of the trial; 0 = none yet
+	initial *coloring.Coloring
+
+	// ans[e] is the answer of this run when stamp[e] == gen.
+	ans   []coloring.Color
+	stamp []uint32
+	gen   uint32
+	count int
+
+	yield  func(int) bool
+	answer coloring.Color // what the trial loop resumes a parked probe with
+	// abandoned answers every remaining probe from the initial coloring:
+	// a discarded run winding down, or the static baseline run.
+	abandoned bool
 }
 
-var _ probe.Oracle = (*replayOracle)(nil)
+var _ probe.Oracle = (*cursor)(nil)
 
-func newReplayOracle(n int) *replayOracle {
-	return &replayOracle{
-		known:  make([]coloring.Color, n),
-		probed: bitset.New(n),
-		next:   -1,
+// begin forgets the previous run's answers; it precedes every run.
+func (c *cursor) begin(abandoned bool) {
+	c.gen++
+	if c.gen == 0 {
+		clear(c.stamp)
+		c.gen = 1
 	}
+	c.count = 0
+	c.abandoned = abandoned
 }
 
-// reset prepares the oracle for one replay against the given in-flight
-// set (nil disables speculation). The known colors persist across
-// replays of a trial; resetTrial clears them.
-func (o *replayOracle) reset(inflight *bitset.Set) {
-	o.inflight = inflight
-	o.probed.Clear()
-	o.count = 0
-	o.next = -1
-	o.speculated = false
-}
-
-// resetTrial additionally forgets all observed colors.
-func (o *replayOracle) resetTrial() {
-	clear(o.known)
-	o.reset(nil)
-}
+// answered reports whether the current run has consumed element e.
+func (c *cursor) answered(e int) bool { return c.stamp[e] == c.gen }
 
 // Probe implements probe.Oracle.
-func (o *replayOracle) Probe(e int) coloring.Color {
-	c := o.known[e]
-	if c == 0 {
-		if o.inflight == nil || !o.inflight.Contains(e) {
-			o.next = e
-			panic(replayStop{})
+//
+//quorum:hotpath
+func (c *cursor) Probe(e int) coloring.Color {
+	if c.stamp[e] == c.gen {
+		return c.ans[e]
+	}
+	var a coloring.Color
+	switch {
+	case c.abandoned:
+		a = c.initial.Of(e)
+	case c.known[e] != 0:
+		a = c.known[e]
+	default:
+		// Park. A false yield means the coroutine is being stopped.
+		if !c.yield(e) {
+			c.abandoned = true
 		}
-		o.speculated = true
-		c = coloring.Green
+		a = c.answer
+		if c.abandoned {
+			a = c.initial.Of(e)
+		}
 	}
-	if !o.probed.Contains(e) {
-		o.probed.Add(e)
-		o.count++
-	}
-	return c
+	c.ans[e] = a
+	c.stamp[e] = c.gen
+	c.count++
+	return a
 }
 
 // Probes implements probe.Oracle.
-func (o *replayOracle) Probes() int { return o.count }
+func (c *cursor) Probes() int { return c.count }
 
 // Probed implements probe.Oracle.
-func (o *replayOracle) Probed() *bitset.Set { return o.probed.Clone() }
-
-// stepResult is one replay's verdict.
-type stepResult struct {
-	// next is the first element the strategy probed without a known or
-	// speculative answer (-1 when the replay ran to termination).
-	next int
-	// terminated reports the strategy returned a witness over the
-	// answered colors.
-	terminated bool
-	// speculated reports whether any answer was a speculative green. A
-	// replay that terminated without speculation proves the trial is
-	// complete: the witness stands on observed colors alone.
-	speculated bool
-}
-
-// step replays the strategy once against the observed colors, answering
-// elements of inflight with speculative greens (pass nil to forbid
-// speculation). rng must be a fresh stream positioned identically for
-// every replay of the trial; it is ignored by deterministic strategies.
-func (s *Scheduler) step(o *replayOracle, inflight *bitset.Set, rng *rand.Rand) (res stepResult) {
-	o.reset(inflight)
-	res.next = -1
-	defer func() {
-		res.speculated = o.speculated
-		if r := recover(); r != nil {
-			if _, ok := r.(replayStop); !ok {
-				panic(r)
-			}
-			res.next = o.next
+func (c *cursor) Probed() *bitset.Set {
+	s := bitset.New(len(c.stamp))
+	for e, g := range c.stamp {
+		if g == c.gen {
+			s.Add(e)
 		}
-	}()
-	s.run(o, rng)
-	res.terminated = true
-	return res
+	}
+	return s
 }
+
+// parkReturned is strategyRun.park once the strategy has returned.
+const parkReturned = -1
+
+// strategyRun is one worker's resumable strategy execution: a
+// long-lived iter.Pull coroutine that runs the scheduler's strategy
+// against the cursor, one run after another, waiting at a parkReturned
+// yield between runs. The trial loop owns it exclusively; close must be
+// called to release the coroutine.
+type strategyRun struct {
+	cursor
+	sched *Scheduler
+	// src/rng is the randomized-strategy stream, re-seeded at the start
+	// of every run of a trial; deterministic strategies ignore it.
+	src  *rand.PCG
+	rng  *rand.Rand
+	next func() (int, bool)
+	stop func()
+	// park is the element whose probe the run is parked at, or
+	// parkReturned when the strategy has returned (or not yet started).
+	park int
+}
+
+func newStrategyRun(sched *Scheduler, known []coloring.Color, initial *coloring.Coloring) *strategyRun {
+	src := &rand.PCG{}
+	r := &strategyRun{
+		cursor: cursor{
+			known:   known,
+			initial: initial,
+			ans:     make([]coloring.Color, sched.n),
+			stamp:   make([]uint32, sched.n),
+		},
+		sched: sched,
+		src:   src,
+		rng:   rand.New(src),
+		park:  parkReturned,
+	}
+	r.next, r.stop = iter.Pull(r.loop)
+	return r
+}
+
+// loop is the coroutine body: one strategy run per iteration, parked
+// between runs until the next start.
+func (r *strategyRun) loop(yield func(int) bool) {
+	r.yield = yield
+	for {
+		r.sched.run(&r.cursor, r.rng)
+		if !yield(parkReturned) {
+			return
+		}
+	}
+}
+
+// pull runs the coroutine to its next park.
+func (r *strategyRun) pull() {
+	e, ok := r.next()
+	if !ok {
+		e = parkReturned
+	}
+	r.park = e
+}
+
+// reset winds down any parked run, then positions the strategy stream
+// at the start of trial's stream and forgets the run's answers.
+func (r *strategyRun) reset(seed uint64, trial int, abandoned bool) {
+	if r.park != parkReturned {
+		r.abandoned = true
+		r.pull()
+	}
+	if r.sched.randomized {
+		r.src.Seed(seed^saltStrategy, uint64(trial)+1)
+	}
+	r.begin(abandoned)
+}
+
+// start begins a fresh run of trial, which runs until its first probe
+// of an element without an observed color.
+func (r *strategyRun) start(seed uint64, trial int) {
+	r.reset(seed, trial, false)
+	r.pull()
+}
+
+// resume answers the parked probe with c and runs to the next park.
+func (r *strategyRun) resume(c coloring.Color) {
+	r.answer = c
+	r.pull()
+}
+
+// static runs the strategy of trial on the caller's goroutine against
+// the initial coloring alone and returns its distinct probe count.
+func (r *strategyRun) static(seed uint64, trial int) int {
+	r.reset(seed, trial, true)
+	r.sched.run(&r.cursor, r.rng)
+	return r.count
+}
+
+// close stops the coroutine; a parked run winds down first.
+func (r *strategyRun) close() { r.stop() }

@@ -52,7 +52,7 @@ func TestTimedZeroScenarioDifferential(t *testing.T) {
 				t.Errorf("%s strategy %s: issued %v != static %v under the zero scenario",
 					spec, strat, fl.IssuedMean, fl.StaticMean)
 			}
-			// The deterministic scheduler replays the same strategy the
+			// The deterministic scheduler runs the same strategy the
 			// estimate measure runs, on the same coloring stream; the two
 			// means differ only by accumulation order (Welford vs direct
 			// sum), so they agree to float tolerance.
