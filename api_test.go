@@ -20,8 +20,10 @@ var builtinSpecs = []string{
 }
 
 // TestBuiltinCapabilityConformance pins the API contract: every built-in
-// construction implements the mask fast path, both probing capabilities,
-// both closed-form capabilities, the renderer and the spec round-trip.
+// construction implements the mask fast path, all three probing
+// capabilities, both closed-form capabilities, the renderer and the spec
+// round-trip. A built-in without WordsProber would silently leave the
+// estimate's words strategy for its generic branch.
 func TestBuiltinCapabilityConformance(t *testing.T) {
 	for _, spec := range builtinSpecs {
 		sys, err := Parse(spec)
@@ -37,6 +39,9 @@ func TestBuiltinCapabilityConformance(t *testing.T) {
 			}
 			if _, ok := sys.(RandomizedProber); !ok {
 				t.Error("does not implement RandomizedProber")
+			}
+			if _, ok := sys.(WordsProber); !ok {
+				t.Error("does not implement WordsProber")
 			}
 			if _, ok := sys.(ExactExpectation); !ok {
 				t.Error("does not implement ExactExpectation")

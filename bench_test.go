@@ -13,9 +13,9 @@ import (
 	"probequorum/internal/availability"
 	"probequorum/internal/coloring"
 	"probequorum/internal/core"
-	"probequorum/internal/load"
 	"probequorum/internal/probe"
 	"probequorum/internal/quorum"
+	"probequorum/internal/rw"
 	"probequorum/internal/sim"
 	"probequorum/internal/stats"
 	"probequorum/internal/strategy"
@@ -51,25 +51,25 @@ func iidHalf(n int) func(rng *rand.Rand) *coloring.Coloring {
 func BenchmarkTable1MajProbabilistic(b *testing.B) {
 	m, _ := systems.NewMaj(101)
 	benchWitnessSearch(b, m.Size(), iidHalf(m.Size()),
-		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return core.ProbeMaj(m, o) })
+		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return m.ProbeWitness(o) })
 }
 
 func BenchmarkTable1TriangProbabilistic(b *testing.B) {
 	tri, _ := systems.NewTriang(10)
 	benchWitnessSearch(b, tri.Size(), iidHalf(tri.Size()),
-		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return core.ProbeCW(tri, o) })
+		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return tri.ProbeWitness(o) })
 }
 
 func BenchmarkTable1TreeProbabilistic(b *testing.B) {
 	tr, _ := systems.NewTree(7)
 	benchWitnessSearch(b, tr.Size(), iidHalf(tr.Size()),
-		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return core.ProbeTree(tr, o) })
+		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return tr.ProbeWitness(o) })
 }
 
 func BenchmarkTable1HQSProbabilistic(b *testing.B) {
 	hq, _ := systems.NewHQS(5)
 	benchWitnessSearch(b, hq.Size(), iidHalf(hq.Size()),
-		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return core.ProbeHQS(hq, o) })
+		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return hq.ProbeWitness(o) })
 }
 
 // --- Table 1, randomized worst-case model (adversarial inputs) ---
@@ -82,21 +82,21 @@ func BenchmarkTable1MajRandomized(b *testing.B) {
 	}
 	benchWitnessSearch(b, m.Size(),
 		func(*rand.Rand) *coloring.Coloring { return hard },
-		func(o probe.Oracle, rng *rand.Rand) probe.Witness { return core.RProbeMaj(m, o, rng) })
+		m.ProbeWitnessRandomized)
 }
 
 func BenchmarkTable1TriangRandomized(b *testing.B) {
 	tri, _ := systems.NewTriang(10)
 	benchWitnessSearch(b, tri.Size(),
 		func(rng *rand.Rand) *coloring.Coloring { return core.HardCWSample(tri, rng) },
-		func(o probe.Oracle, rng *rand.Rand) probe.Witness { return core.RProbeCW(tri, o, rng) })
+		tri.ProbeWitnessRandomized)
 }
 
 func BenchmarkTable1TreeRandomized(b *testing.B) {
 	tr, _ := systems.NewTree(7)
 	benchWitnessSearch(b, tr.Size(),
 		func(rng *rand.Rand) *coloring.Coloring { return core.HardTreeSample(tr, rng) },
-		func(o probe.Oracle, rng *rand.Rand) probe.Witness { return core.RProbeTree(tr, o, rng) })
+		tr.ProbeWitnessRandomized)
 }
 
 func BenchmarkTable1HQSRandomized(b *testing.B) {
@@ -104,7 +104,7 @@ func BenchmarkTable1HQSRandomized(b *testing.B) {
 	hard := core.WorstCaseHQS(hq, coloring.Green, nil)
 	benchWitnessSearch(b, hq.Size(),
 		func(*rand.Rand) *coloring.Coloring { return hard },
-		func(o probe.Oracle, rng *rand.Rand) probe.Witness { return core.IRProbeHQS(hq, o, rng) })
+		hq.ProbeWitnessRandomized)
 }
 
 // --- Figures ---
@@ -130,7 +130,7 @@ func BenchmarkFigure5ProbeCW(b *testing.B) {
 	}
 	cw, _ := systems.NewCW(widths)
 	benchWitnessSearch(b, cw.Size(), iidHalf(cw.Size()),
-		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return core.ProbeCW(cw, o) })
+		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return cw.ProbeWitness(o) })
 }
 
 // BenchmarkFigure6HQSOptimality regenerates the Theorem 3.9 comparison:
@@ -164,7 +164,7 @@ func BenchmarkFigure8IRProbeHQS(b *testing.B) {
 	hard := core.WorstCaseHQS(hq, coloring.Green, nil)
 	benchWitnessSearch(b, hq.Size(),
 		func(*rand.Rand) *coloring.Coloring { return hard },
-		func(o probe.Oracle, rng *rand.Rand) probe.Witness { return core.IRProbeHQS(hq, o, rng) })
+		hq.ProbeWitnessRandomized)
 }
 
 // BenchmarkFigure9IRConstant regenerates the Fig. 9 computation: the exact
@@ -227,7 +227,7 @@ func BenchmarkLemma29Urn(b *testing.B) {
 // expectation via the O(N^2) walk DP for n = 1001.
 func BenchmarkProp32MajSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if v := core.ExpectedProbeMajIID(1001, 0.3); v <= 0 {
+		if v := systems.ExpectedProbeMajIID(1001, 0.3); v <= 0 {
 			b.Fatal("bad expectation")
 		}
 	}
@@ -237,7 +237,7 @@ func BenchmarkProp32MajSweep(b *testing.B) {
 // exact expectation recursion out to height 32.
 func BenchmarkProp36TreeSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if v := core.ExpectedProbeTreeIID(32, 0.3); v <= 0 {
+		if v := systems.ExpectedProbeTreeIID(32, 0.3); v <= 0 {
 			b.Fatal("bad expectation")
 		}
 	}
@@ -248,7 +248,7 @@ func BenchmarkProp36TreeSweep(b *testing.B) {
 func BenchmarkAblationProbeCW(b *testing.B) {
 	tri, _ := systems.NewTriang(10)
 	benchWitnessSearch(b, tri.Size(), iidHalf(tri.Size()),
-		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return core.ProbeCW(tri, o) })
+		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return tri.ProbeWitness(o) })
 }
 
 func BenchmarkAblationSequentialScan(b *testing.B) {
@@ -285,7 +285,7 @@ func BenchmarkExtensionVote(b *testing.B) {
 	}
 	v, _ := systems.NewVote(weights)
 	benchWitnessSearch(b, v.Size(), iidHalf(v.Size()),
-		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return core.ProbeVote(v, o) })
+		func(o probe.Oracle, _ *rand.Rand) probe.Witness { return v.ProbeWitness(o) })
 }
 
 func sumInts(xs []int) int {
@@ -410,7 +410,7 @@ func benchEstimate(b *testing.B, est func(trials int, seed uint64, f func(rng *r
 		s := est(2000, 17, func(rng *rand.Rand) float64 {
 			col := coloring.IID(m.Size(), 0.5, rng)
 			o := probe.NewOracle(col)
-			core.ProbeMaj(m, o)
+			m.ProbeWitness(o)
 			return float64(o.Probes())
 		})
 		if s.Mean <= 0 {
@@ -448,7 +448,7 @@ func BenchmarkBruteForceAvailabilityColoring(b *testing.B) {
 func BenchmarkExtensionLoadBalance(b *testing.B) {
 	w, _ := systems.NewWheel(12)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := load.Balance(w, 200); err != nil {
+		if _, _, err := rw.BalanceLoad(w, 200, rw.DefaultBalanceGap); err != nil {
 			b.Fatal(err)
 		}
 	}

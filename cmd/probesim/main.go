@@ -125,48 +125,11 @@ func run() int {
 // runRandomized keeps the explicit trial loop: the randomized worst-case
 // strategy draws per-trial randomness from one shared stream and
 // verifies every witness, which the declarative measures do not model.
-// Systems with the wide capability (every built-in) run the words-native
-// loop — identical probes and witnesses for the same seed, with the
-// trial buffers reused — and universes of any width verify each witness
-// against the wide membership test.
+// One words oracle carries the coloring, probe log and witness buffer
+// across every trial, and each witness is verified word-natively
+// (monochromatic, probed, and a quorum under the wide membership test).
 func runRandomized(sys probequorum.System, p float64, trials int, seed uint64) int {
 	rng := rand.New(rand.NewPCG(seed, 2*seed+1))
-	if _, ok := sys.(probequorum.RandomizedWordsProber); ok {
-		return runRandomizedWords(sys, p, trials, rng)
-	}
-	var totalProbes, greens int
-	for i := 0; i < trials; i++ {
-		col := probequorum.IIDColoring(sys.Size(), p, rng)
-		o := probequorum.NewOracle(col)
-		w, err := probequorum.FindWitnessRandomized(sys, o, rng)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "probesim:", err)
-			return 1
-		}
-		if err := probequorum.VerifyWitness(sys, w, col); err != nil {
-			fmt.Fprintln(os.Stderr, "probesim: unsound witness:", err)
-			return 1
-		}
-		totalProbes += o.Probes()
-		if w.Color == probequorum.Green {
-			greens++
-		}
-	}
-
-	fmt.Printf("system:            %s (n = %d)\n", sys.Name(), sys.Size())
-	fmt.Printf("strategy:          randomized (paper worst-case strategy)\n")
-	fmt.Printf("failure p:         %.3f over %d trials (seed %d)\n", p, trials, seed)
-	fmt.Printf("avg probes:        %.4f\n", float64(totalProbes)/float64(trials))
-	fmt.Printf("live-quorum rate:  %.4f (1 - F_p = %.4f analytically)\n",
-		float64(greens)/float64(trials), 1-probequorum.Availability(sys, p))
-	return 0
-}
-
-// runRandomizedWords is the wide trial loop: one words oracle carries
-// the coloring, probe log and witness buffers across every trial, and
-// each witness is verified word-natively (monochromatic, probed, and a
-// quorum under the wide membership test).
-func runRandomizedWords(sys probequorum.System, p float64, trials int, rng *rand.Rand) int {
 	n := sys.Size()
 	ws, err := probequorum.AsWideMaskSystem(sys)
 	if err != nil {

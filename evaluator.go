@@ -15,6 +15,7 @@ import (
 	"probequorum/internal/approx"
 	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
+	"probequorum/internal/core"
 	"probequorum/internal/des"
 	"probequorum/internal/probe"
 	"probequorum/internal/quorum"
@@ -634,10 +635,9 @@ func measuresAvailable(sys System) []string {
 	if _, ok := sys.(ExactExpectation); ok {
 		out = append(out, string(MeasureExpected))
 	}
-	switch sys.(type) {
-	case Prober, finderSystem:
+	if core.Resolve(sys, false) != nil {
 		// The temporal engine schedules the same strategies the Monte
-		// Carlo estimator replays, so the timed measures track it.
+		// Carlo estimator runs, so the timed measures track it.
 		out = append(out, string(MeasureEstimate),
 			string(MeasureTimedTTQ), string(MeasureTimedReach), string(MeasureTimedInFlight))
 	}
@@ -726,46 +726,52 @@ func halfCI(s stats.Summary) float64 {
 // estimateAdaptiveCtx is the single Monte Carlo trial loop behind every
 // estimate: fixed-budget runs pass a nil observer, streaming and
 // tolerance-driven runs observe the in-order accumulation checkpoints
-// (sim.Chunk) and may stop early. Systems with the wide probing
-// capability (all built-in constructions) run the words-native trial
-// loop: the coloring, the probe log and the witness all live in
-// per-worker word buffers, so a trial's footprint is a few n/64-word
-// buffers reused across every trial, with no per-probe heap allocation
-// at any universe size. The words path probes the same elements in the
-// same order as the bitset path, so summaries are bit-identical between
-// the two (pinned by TestWideEstimateBitIdentical).
+// (sim.Chunk) and may stop early. Every system runs on per-worker words
+// oracles: the coloring and the probe log live in a few n/64-word
+// buffers reused across every trial. Systems with the wide probing
+// capability (all built-in constructions) run their words strategy,
+// which assembles its witness in the oracle's arena with no per-probe
+// heap allocation at any universe size; any other system runs its
+// FindWitness strategy against the same oracle. Both forms probe the
+// same elements as FindWitness on a bitset oracle, and IIDWordsInto
+// draws the same colorings as IIDInto, so summaries are bit-identical
+// to a bitset trial loop (pinned by TestWideEstimateBitIdentical). A
+// trial that panics fails the estimate with a *PanicError.
 func (e *Evaluator) estimateAdaptiveCtx(ctx context.Context, sys System, p float64, maxTrials int, seed uint64, observe func(sim.Chunk) bool) (stats.Summary, error) {
 	n := sys.Size()
+	var trial func(rng *rand.Rand, o *probe.WordsOracle) float64
 	if wp, ok := sys.(probe.WordsProber); ok {
-		return sim.EstimateAdaptiveCtx(ctx, maxTrials, seed, e.parallelism,
-			func() *probe.WordsOracle { return probe.NewWordsOracle(n) },
-			func(rng *rand.Rand, o *probe.WordsOracle) float64 {
-				coloring.IIDWordsInto(o.RedWords(), n, p, rng)
-				o.Reset()
-				wp.ProbeWitnessWords(o)
-				return float64(o.Probes())
-			}, observe)
+		trial = func(rng *rand.Rand, o *probe.WordsOracle) float64 {
+			coloring.IIDWordsInto(o.RedWords(), n, p, rng)
+			o.Reset()
+			wp.ProbeWitnessWords(o)
+			return float64(o.Probes())
+		}
+	} else {
+		run := core.Resolve(sys, false)
+		if run == nil {
+			return stats.Summary{}, &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: "Prober or Finder"}
+		}
+		trial = func(rng *rand.Rand, o *probe.WordsOracle) float64 {
+			coloring.IIDWordsInto(o.RedWords(), n, p, rng)
+			o.Reset()
+			run(o, nil)
+			return float64(o.Probes())
+		}
 	}
-	if _, err := guardPanic("estimate probe", func() (Witness, error) { return FindWitness(sys, NewOracle(AllGreen(n))) }); err != nil {
-		return stats.Summary{}, err
+	s, err := sim.EstimateAdaptiveCtx(ctx, maxTrials, seed, e.parallelism,
+		func() *probe.WordsOracle { return probe.NewWordsOracle(n) }, trial, observe)
+	return s, trialPanic("estimate trial", err)
+}
+
+// trialPanic maps a Monte Carlo trial panic to a *PanicError; other
+// errors pass through unchanged.
+func trialPanic(op string, err error) error {
+	var pe *sim.PanicError
+	if errors.As(err, &pe) {
+		return &PanicError{Op: op, Value: pe.Value}
 	}
-	type buffers struct {
-		col *coloring.Coloring
-		o   *probe.ColoringOracle
-	}
-	return sim.EstimateAdaptiveCtx(ctx, maxTrials, seed, e.parallelism,
-		func() *buffers {
-			col := coloring.New(n)
-			return &buffers{col: col, o: probe.NewOracle(col)}
-		},
-		func(rng *rand.Rand, b *buffers) float64 {
-			coloring.IIDInto(b.col, p, rng)
-			b.o.Reset()
-			if _, err := FindWitness(sys, b.o); err != nil {
-				panic(err) // unreachable: dispatch validated above
-			}
-			return float64(b.o.Probes())
-		}, observe)
+	return err
 }
 
 // estimateAvailabilityCtx Monte Carlo-estimates the failure probability
@@ -782,7 +788,7 @@ func (e *Evaluator) estimateAvailabilityCtx(ctx context.Context, sys System, p f
 	}
 	n := sys.Size()
 	type buffers struct{ red, green []uint64 }
-	return sim.EstimateWithWorkersCtx(ctx, trials, seed, e.parallelism,
+	s, err := sim.EstimateWithWorkersCtx(ctx, trials, seed, e.parallelism,
 		func() *buffers {
 			w := quorum.WordCount(n)
 			return &buffers{red: make([]uint64, w), green: make([]uint64, w)}
@@ -795,6 +801,7 @@ func (e *Evaluator) estimateAvailabilityCtx(ctx context.Context, sys System, p f
 			}
 			return 1
 		})
+	return s, trialPanic("availability trial", err)
 }
 
 // resolve maps a query to its System and canonical spec string. Systems

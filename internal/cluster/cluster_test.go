@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"probequorum/internal/coloring"
-	"probequorum/internal/core"
 	"probequorum/internal/probe"
 	"probequorum/internal/systems"
 )
@@ -18,9 +17,7 @@ func newTriangCluster(t *testing.T, k int) (*Cluster, *systems.CW, func(o probe.
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(sys.Size())
-	search := func(o probe.Oracle) probe.Witness { return core.ProbeCW(sys, o) }
-	return c, sys, search
+	return New(sys.Size()), sys, sys.ProbeWitness
 }
 
 func TestClusterBasics(t *testing.T) {

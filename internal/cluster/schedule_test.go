@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"probequorum/internal/bitset"
-	"probequorum/internal/core"
-	"probequorum/internal/probe"
 	"probequorum/internal/systems"
 )
 
@@ -22,9 +20,7 @@ func TestRegisterFailureSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(sys.Size())
-	reg, err := NewRegister(c, sys, func(o probe.Oracle) probe.Witness {
-		return core.ProbeCW(sys, o)
-	})
+	reg, err := NewRegister(c, sys, sys.ProbeWitness)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +110,7 @@ func TestMutexRandomizedSchedules(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(13, 17))
 	c := New(sys.Size())
-	m, err := NewMutex(c, sys, func(o probe.Oracle) probe.Witness {
-		return core.ProbeCW(sys, o)
-	})
+	m, err := NewMutex(c, sys, sys.ProbeWitness)
 	if err != nil {
 		t.Fatal(err)
 	}

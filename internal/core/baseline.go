@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand/v2"
+
 	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
 	"probequorum/internal/probe"
@@ -14,14 +16,55 @@ type systemWithFinder interface {
 	quorum.Finder
 }
 
+// Resolve picks the witness strategy every consumer of a system runs:
+// the system's own probe.Prober (probe.RandomizedProber when randomized)
+// when it carries one, else SequentialScan (RandomScan) when it
+// implements quorum.Finder. It returns nil when neither applies.
+// Deterministic strategies ignore rng.
+func Resolve(sys quorum.System, randomized bool) func(o probe.Oracle, rng *rand.Rand) probe.Witness {
+	if randomized {
+		switch impl := sys.(type) {
+		case probe.RandomizedProber:
+			return impl.ProbeWitnessRandomized
+		case systemWithFinder:
+			return func(o probe.Oracle, rng *rand.Rand) probe.Witness { return RandomScan(impl, o, rng) }
+		}
+		return nil
+	}
+	switch impl := sys.(type) {
+	case probe.Prober:
+		return func(o probe.Oracle, _ *rand.Rand) probe.Witness { return impl.ProbeWitness(o) }
+	case systemWithFinder:
+		return func(o probe.Oracle, _ *rand.Rand) probe.Witness { return SequentialScan(impl, o) }
+	}
+	return nil
+}
+
 // SequentialScan is the generic deterministic baseline: probe elements in
 // index order until one color class contains a quorum. Against it, the
 // paper's structure-aware strategies show their savings.
 func SequentialScan(sys systemWithFinder, o probe.Oracle) probe.Witness {
+	return scan(sys, o, nil)
+}
+
+// RandomScan is the generic randomized baseline: probe elements in a
+// uniformly random order until one color class contains a quorum. For the
+// majority system it coincides with R_Probe_Maj.
+func RandomScan(sys systemWithFinder, o probe.Oracle, rng *rand.Rand) probe.Witness {
+	return scan(sys, o, rng.Perm(sys.Size()))
+}
+
+// scan probes the elements in order (index order when nil) until one
+// color class contains a quorum.
+func scan(sys systemWithFinder, o probe.Oracle, order []int) probe.Witness {
 	n := sys.Size()
 	greens := bitset.New(n)
 	reds := bitset.New(n)
-	for e := 0; e < n; e++ {
+	for i := 0; i < n; i++ {
+		e := i
+		if order != nil {
+			e = order[i]
+		}
 		if o.Probe(e) == coloring.Green {
 			greens.Add(e)
 			if sys.ContainsQuorum(greens) {
@@ -34,7 +77,7 @@ func SequentialScan(sys systemWithFinder, o probe.Oracle) probe.Witness {
 			}
 		}
 	}
-	panic("core: SequentialScan exhausted the universe without a witness")
+	panic("core: scan exhausted the universe without a witness")
 }
 
 // extractWitness narrows a monochromatic quorum-containing set to an

@@ -35,7 +35,7 @@ func TestProbeMajSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyAlg(t, m, func(o probe.Oracle) probe.Witness { return ProbeMaj(m, o) })
+		verifyAlg(t, m, m.ProbeWitness)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestProbeCWSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyAlg(t, c, func(o probe.Oracle) probe.Witness { return ProbeCW(c, o) })
+		verifyAlg(t, c, c.ProbeWitness)
 	}
 }
 
@@ -55,7 +55,7 @@ func TestProbeTreeSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyAlg(t, tr, func(o probe.Oracle) probe.Witness { return ProbeTree(tr, o) })
+		verifyAlg(t, tr, tr.ProbeWitness)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestProbeHQSSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyAlg(t, q, func(o probe.Oracle) probe.Witness { return ProbeHQS(q, o) })
+		verifyAlg(t, q, q.ProbeWitness)
 	}
 }
 
@@ -79,11 +79,11 @@ func TestRandomizedAlgorithmsSound(t *testing.T) {
 		sys quorum.System
 		run func(o probe.Oracle) probe.Witness
 	}{
-		{m, func(o probe.Oracle) probe.Witness { return RProbeMaj(m, o, rng) }},
-		{cw, func(o probe.Oracle) probe.Witness { return RProbeCW(cw, o, rng) }},
-		{tr, func(o probe.Oracle) probe.Witness { return RProbeTree(tr, o, rng) }},
+		{m, func(o probe.Oracle) probe.Witness { return m.ProbeWitnessRandomized(o, rng) }},
+		{cw, func(o probe.Oracle) probe.Witness { return cw.ProbeWitnessRandomized(o, rng) }},
+		{tr, func(o probe.Oracle) probe.Witness { return tr.ProbeWitnessRandomized(o, rng) }},
 		{hq, func(o probe.Oracle) probe.Witness { return RProbeHQS(hq, o, rng) }},
-		{hq, func(o probe.Oracle) probe.Witness { return IRProbeHQS(hq, o, rng) }},
+		{hq, func(o probe.Oracle) probe.Witness { return hq.ProbeWitnessRandomized(o, rng) }},
 	}
 	for _, c := range cases {
 		t.Run(c.sys.Name(), func(t *testing.T) {
@@ -103,7 +103,7 @@ func TestIRProbeHQSSoundLargerTree(t *testing.T) {
 	for rep := 0; rep < 300; rep++ {
 		col := coloring.IID(hq.Size(), 0.5, rng)
 		o := probe.NewOracle(col)
-		w := IRProbeHQS(hq, o, rng)
+		w := hq.ProbeWitnessRandomized(o, rng)
 		if err := probe.Verify(hq, w, col, o.Probed()); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -139,9 +139,7 @@ func TestProbeCWExpectationBound(t *testing.T) {
 		// Exact expectation by enumerating all colorings, weighted by p.
 		exp := 0.0
 		coloring.All(cw.Size(), func(col *coloring.Coloring) bool {
-			probes := DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-				return ProbeCW(cw, o)
-			})
+			probes := DeterministicProbes(col, cw.ProbeWitness)
 			exp += float64(probes) * col.Probability(p)
 			return true
 		})

@@ -1,37 +1,29 @@
-// Package core implements the probing algorithms of Hassin & Peleg,
-// "Average probe complexity in quorum systems" — the paper's primary
-// contribution — together with baseline strategies and exact expectation
-// evaluators.
+// Package core holds the probing machinery of Hassin & Peleg, "Average
+// probe complexity in quorum systems", that does not belong to any one
+// construction. The paper's own strategies live on the constructions in
+// internal/systems: the deterministic ones (Probe_Maj, Probe_CW,
+// Probe_Tree, Probe_HQS and friends, §3) as probe.Prober methods, the
+// randomized worst-case ones (R_Probe_Maj, R_Probe_CW, R_Probe_Tree,
+// IR_Probe_HQS and friends, §4) as probe.RandomizedProber methods, and
+// their exact IID(p) expectations beside them. This package adds:
 //
-// Probabilistic-model algorithms (§3, deterministic strategies analyzed
-// under IID element failures with probability p):
-//
-//   - ProbeMaj  — §3.1: probe elements until one color reaches majority.
-//   - ProbeCW   — §3.2, Fig. 5: walk the rows keeping a monochromatic
-//     witness set, flipping mode on monochromatic rows; E[probes] ≤ 2k-1.
-//   - ProbeTree — §3.3: root first, then right subtree, left only when
-//     needed; E[probes] = O(n^{log2(1+p)}).
-//   - ProbeHQS  — §3.4: evaluate 2-of-3 gates left to right, skipping the
-//     third child when the first two agree; optimal at p = 1/2 (Thm 3.9).
-//
-// Randomized worst-case algorithms (§4):
-//
-//   - RProbeMaj   — §4.1: probe uniformly at random; PCR = n - (n-1)/(n+3).
-//   - RProbeCW    — §4.2: per row, probe randomly until both colors appear.
-//   - RProbeTree  — §4.3: random choice among root+subtree / subtrees-first
-//     orders; PCR ≤ 5n/6 + 1/6.
-//   - RProbeHQS   — §4.4, Fig. 7 (Boppana): evaluate a random pair of
-//     children, the third only on disagreement; O(n^{log3(8/3)}).
-//   - IRProbeHQS  — §4.4, Fig. 8: the improved algorithm that peeks at one
-//     grandchild to bias the second child choice; O(n^0.887).
-//
-// Baselines: SequentialScan (the generic deterministic strategy),
-// RandomScan (its randomized counterpart) and Universal (the quorum-
-// avoiding snoop in the spirit of Peleg & Wool's O(c^2) universal
-// algorithm [15]).
-//
-// For every randomized algorithm the package also provides an exact
-// per-coloring expectation evaluator (exact.go) that integrates over the
-// algorithm's coin flips; these power the worst-case-input searches and
-// the Table 1 reproduction without Monte Carlo noise.
+//   - Resolve — the one strategy resolver every consumer uses: a system's
+//     own strategy when it has one, else the generic scan below.
+//   - SequentialScan and RandomScan — the generic deterministic and
+//     randomized baselines over quorum.Finder systems.
+//   - Universal — the quorum-avoiding snoop in the spirit of Peleg &
+//     Wool's O(c^2) universal algorithm [15]; GreedyQuorum — the dynamic
+//     heuristic of [4,11].
+//   - RProbeHQS — §4.4, Fig. 7 (Boppana): evaluate a random pair of
+//     children, the third only on disagreement; O(n^{log3(8/3)}). The
+//     HQS capability runs the improved IR_Probe_HQS (Fig. 8); Fig. 7
+//     stays here as the baseline it is measured against.
+//   - FullParallel, ParallelProbeCW and the round accounting of batch
+//     probing.
+//   - The exact per-coloring expectation evaluators of the randomized
+//     algorithms (exact.go), which integrate over the coin flips; these
+//     power the worst-case-input searches and the Table 1 reproduction
+//     without Monte Carlo noise.
+//   - The hard input distributions of the worst-case lower bounds
+//     (hardinputs.go).
 package core

@@ -25,15 +25,15 @@ func TestAlgorithmsOnMonochromaticUniverses(t *testing.T) {
 		run  func(o probe.Oracle) probe.Witness
 	}
 	algos := []algo{
-		{"ProbeMaj", maj, func(o probe.Oracle) probe.Witness { return ProbeMaj(maj, o) }},
-		{"RProbeMaj", maj, func(o probe.Oracle) probe.Witness { return RProbeMaj(maj, o, rng) }},
-		{"ProbeCW", tri, func(o probe.Oracle) probe.Witness { return ProbeCW(tri, o) }},
-		{"RProbeCW", tri, func(o probe.Oracle) probe.Witness { return RProbeCW(tri, o, rng) }},
-		{"ProbeTree", tree, func(o probe.Oracle) probe.Witness { return ProbeTree(tree, o) }},
-		{"RProbeTree", tree, func(o probe.Oracle) probe.Witness { return RProbeTree(tree, o, rng) }},
-		{"ProbeHQS", hqs, func(o probe.Oracle) probe.Witness { return ProbeHQS(hqs, o) }},
+		{"ProbeMaj", maj, maj.ProbeWitness},
+		{"RProbeMaj", maj, func(o probe.Oracle) probe.Witness { return maj.ProbeWitnessRandomized(o, rng) }},
+		{"ProbeCW", tri, tri.ProbeWitness},
+		{"RProbeCW", tri, func(o probe.Oracle) probe.Witness { return tri.ProbeWitnessRandomized(o, rng) }},
+		{"ProbeTree", tree, tree.ProbeWitness},
+		{"RProbeTree", tree, func(o probe.Oracle) probe.Witness { return tree.ProbeWitnessRandomized(o, rng) }},
+		{"ProbeHQS", hqs, hqs.ProbeWitness},
 		{"RProbeHQS", hqs, func(o probe.Oracle) probe.Witness { return RProbeHQS(hqs, o, rng) }},
-		{"IRProbeHQS", hqs, func(o probe.Oracle) probe.Witness { return IRProbeHQS(hqs, o, rng) }},
+		{"IRProbeHQS", hqs, func(o probe.Oracle) probe.Witness { return hqs.ProbeWitnessRandomized(o, rng) }},
 	}
 	for _, a := range algos {
 		t.Run(a.name, func(t *testing.T) {
@@ -74,9 +74,7 @@ func TestVoteDictatorNotEvasive(t *testing.T) {
 		t.Fatal(err)
 	}
 	coloring.All(v.Size(), func(col *coloring.Coloring) bool {
-		probes := DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-			return ProbeVote(v, o)
-		})
+		probes := DeterministicProbes(col, v.ProbeWitness)
 		if probes != 1 {
 			t.Fatalf("coloring %s: %d probes, want 1 (dictator decides)", col, probes)
 		}
@@ -95,9 +93,9 @@ func TestLargeInstanceSoundness(t *testing.T) {
 		sys quorum.System
 		run func(o probe.Oracle) probe.Witness
 	}{
-		{tree, func(o probe.Oracle) probe.Witness { return ProbeTree(tree, o) }},
-		{hqs, func(o probe.Oracle) probe.Witness { return ProbeHQS(hqs, o) }},
-		{recmaj, func(o probe.Oracle) probe.Witness { return ProbeRecMaj(recmaj, o) }},
+		{tree, tree.ProbeWitness},
+		{hqs, hqs.ProbeWitness},
+		{recmaj, recmaj.ProbeWitness},
 	}
 	for _, tc := range big {
 		t.Run(tc.sys.Name(), func(t *testing.T) {
@@ -161,8 +159,8 @@ func TestDeterministicReplayStability(t *testing.T) {
 		col := coloring.IID(tri.Size(), 0.4, rng)
 		o1 := probe.NewOracle(col)
 		o2 := probe.NewOracle(col)
-		ProbeCW(tri, o1)
-		ProbeCW(tri, o2)
+		tri.ProbeWitness(o1)
+		tri.ProbeWitness(o2)
 		if !o1.Probed().Equal(o2.Probed()) {
 			t.Fatalf("deterministic algorithm probed different sets on replay")
 		}

@@ -30,7 +30,7 @@ func TestExactRProbeMajMatchesMonteCarlo(t *testing.T) {
 		col := coloring.FromReds(9, reds)
 		exact := ExactRProbeMaj(m, col)
 		mc := monteCarlo(col, 20000, rng, func(o probe.Oracle, r *rand.Rand) probe.Witness {
-			return RProbeMaj(m, o, r)
+			return m.ProbeWitnessRandomized(o, r)
 		})
 		if math.Abs(exact-mc) > 0.08 {
 			t.Errorf("reds=%v: exact %.4f vs MC %.4f", reds, exact, mc)
@@ -80,7 +80,7 @@ func TestExactRProbeCWMatchesMonteCarlo(t *testing.T) {
 	for _, col := range cols {
 		exact := ExactRProbeCW(cw, col)
 		mc := monteCarlo(col, 20000, rng, func(o probe.Oracle, r *rand.Rand) probe.Witness {
-			return RProbeCW(cw, o, r)
+			return cw.ProbeWitnessRandomized(o, r)
 		})
 		if math.Abs(exact-mc) > 0.06 {
 			t.Errorf("%s: exact %.4f vs MC %.4f", col, exact, mc)
@@ -132,7 +132,7 @@ func TestExactRProbeTreeMatchesMonteCarlo(t *testing.T) {
 	for _, col := range cols {
 		exact := ExactRProbeTree(tr, col)
 		mc := monteCarlo(col, 20000, rng, func(o probe.Oracle, r *rand.Rand) probe.Witness {
-			return RProbeTree(tr, o, r)
+			return tr.ProbeWitnessRandomized(o, r)
 		})
 		if math.Abs(exact-mc) > 0.06 {
 			t.Errorf("%s: exact %.4f vs MC %.4f", col, exact, mc)
@@ -218,7 +218,7 @@ func TestExactIRProbeHQSMatchesMonteCarlo(t *testing.T) {
 	for _, col := range cols {
 		exact := ExactIRProbeHQS(hq, col)
 		mc := monteCarlo(col, 40000, rng, func(o probe.Oracle, r *rand.Rand) probe.Witness {
-			return IRProbeHQS(hq, o, r)
+			return hq.ProbeWitnessRandomized(o, r)
 		})
 		if math.Abs(exact-mc) > 0.06 {
 			t.Errorf("%s: exact %.4f vs MC %.4f", col, exact, mc)
@@ -285,12 +285,12 @@ func TestDeterministicProbesWeighting(t *testing.T) {
 	m, _ := systems.NewMaj(5)
 	// At p = 0 every ProbeMaj run stops after exactly threshold probes.
 	col := coloring.New(5)
-	if got := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeMaj(m, o) }); got != 3 {
+	if got := DeterministicProbes(col, m.ProbeWitness); got != 3 {
 		t.Errorf("all-green ProbeMaj probes = %d, want 3", got)
 	}
 	// All red: stops after threshold red probes.
 	allRed := coloring.FromReds(5, []int{0, 1, 2, 3, 4})
-	if got := DeterministicProbes(allRed, func(o probe.Oracle) probe.Witness { return ProbeMaj(m, o) }); got != 3 {
+	if got := DeterministicProbes(allRed, m.ProbeWitness); got != 3 {
 		t.Errorf("all-red ProbeMaj probes = %d, want 3", got)
 	}
 }

@@ -24,8 +24,8 @@ func TestExpectedProbeMajIIDMatchesEnumeration(t *testing.T) {
 	for _, n := range []int{3, 5, 7, 9} {
 		m, _ := systems.NewMaj(n)
 		for _, p := range []float64{0, 0.2, 0.5, 0.8, 1} {
-			got := ExpectedProbeMajIID(n, p)
-			want := enumerate(n, p, func(o probe.Oracle) probe.Witness { return ProbeMaj(m, o) })
+			got := systems.ExpectedProbeMajIID(n, p)
+			want := enumerate(n, p, m.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("n=%d p=%v: recursion %.9f != enumeration %.9f", n, p, got, want)
 			}
@@ -37,8 +37,8 @@ func TestExpectedProbeCWIIDMatchesEnumeration(t *testing.T) {
 	for _, widths := range [][]int{{1}, {1, 2}, {1, 3, 2}, {1, 2, 3, 4}, {1, 5, 5}} {
 		cw, _ := systems.NewCW(widths)
 		for _, p := range []float64{0, 0.3, 0.5, 0.7, 1} {
-			got := ExpectedProbeCWIID(widths, p)
-			want := enumerate(cw.Size(), p, func(o probe.Oracle) probe.Witness { return ProbeCW(cw, o) })
+			got := systems.ExpectedProbeCWIID(widths, p)
+			want := enumerate(cw.Size(), p, cw.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("%v p=%v: recursion %.9f != enumeration %.9f", widths, p, got, want)
 			}
@@ -50,8 +50,8 @@ func TestExpectedProbeTreeIIDMatchesEnumeration(t *testing.T) {
 	for h := 0; h <= 3; h++ {
 		tr, _ := systems.NewTree(h)
 		for _, p := range []float64{0, 0.25, 0.5, 0.9} {
-			got := ExpectedProbeTreeIID(h, p)
-			want := enumerate(tr.Size(), p, func(o probe.Oracle) probe.Witness { return ProbeTree(tr, o) })
+			got := systems.ExpectedProbeTreeIID(h, p)
+			want := enumerate(tr.Size(), p, tr.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("h=%d p=%v: recursion %.9f != enumeration %.9f", h, p, got, want)
 			}
@@ -63,8 +63,8 @@ func TestExpectedProbeHQSIIDMatchesEnumeration(t *testing.T) {
 	for h := 0; h <= 2; h++ {
 		q, _ := systems.NewHQS(h)
 		for _, p := range []float64{0, 0.25, 0.5, 0.9} {
-			got := ExpectedProbeHQSIID(h, p)
-			want := enumerate(q.Size(), p, func(o probe.Oracle) probe.Witness { return ProbeHQS(q, o) })
+			got := systems.ExpectedProbeHQSIID(h, p)
+			want := enumerate(q.Size(), p, q.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("h=%d p=%v: recursion %.9f != enumeration %.9f", h, p, got, want)
 			}
@@ -75,7 +75,7 @@ func TestExpectedProbeHQSIIDMatchesEnumeration(t *testing.T) {
 // Theorem 3.8 exact: at p = 1/2 the HQS cost is exactly (5/2)^h.
 func TestExpectedProbeHQSHalfClosedForm(t *testing.T) {
 	for h := 0; h <= 10; h++ {
-		got := ExpectedProbeHQSIID(h, 0.5)
+		got := systems.ExpectedProbeHQSIID(h, 0.5)
 		want := math.Pow(2.5, float64(h))
 		if math.Abs(got-want)/want > 1e-12 {
 			t.Errorf("h=%d: %.9f != (5/2)^h = %.9f", h, got, want)
@@ -89,7 +89,7 @@ func TestExpectedProbeCWBound(t *testing.T) {
 	for _, widths := range [][]int{{1, 2, 3}, {1, 10, 10, 10}, {1, 100, 100}} {
 		k := len(widths)
 		for _, p := range []float64{0.1, 0.3, 0.5, 0.7, 0.95} {
-			got := ExpectedProbeCWIID(widths, p)
+			got := systems.ExpectedProbeCWIID(widths, p)
 			if got > float64(2*k-1)+1e-9 {
 				t.Errorf("%v p=%v: %.6f > 2k-1 = %d", widths, p, got, 2*k-1)
 			}
@@ -106,7 +106,7 @@ func TestExpectedProbeTreeGrowthRatio(t *testing.T) {
 		// Convergence is slow for small p (the additive root term decays
 		// like 1/T(h)), so run the O(h) recursion out to height 45.
 		for h := 5; h <= 45; h++ {
-			ratio := ExpectedProbeTreeIID(h, p) / ExpectedProbeTreeIID(h-1, p)
+			ratio := systems.ExpectedProbeTreeIID(h, p) / systems.ExpectedProbeTreeIID(h-1, p)
 			if ratio < limit-1e-9 {
 				t.Errorf("p=%v h=%d: ratio %.6f below the limit %.6f", p, h, ratio, limit)
 			}

@@ -60,9 +60,7 @@ func TestGreedyQuorumReasonableCost(t *testing.T) {
 	// Against Probe_CW's exact uniform-average.
 	totalCW := 0
 	coloring.All(tri.Size(), func(col *coloring.Coloring) bool {
-		totalCW += DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-			return ProbeCW(tri, o)
-		})
+		totalCW += DeterministicProbes(col, tri.ProbeWitness)
 		return true
 	})
 	avgCW := float64(totalCW) / float64(count)

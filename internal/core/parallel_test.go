@@ -62,9 +62,7 @@ func TestParallelProbeCWFastBottom(t *testing.T) {
 func TestSequentialRounds(t *testing.T) {
 	cw, _ := systems.NewCW([]int{1, 2, 3})
 	col := coloring.FromReds(6, []int{1, 4})
-	probes, rounds := SequentialRounds(cw, col, func(o probe.Oracle) probe.Witness {
-		return ProbeCW(cw, o)
-	})
+	probes, rounds := SequentialRounds(cw, col, cw.ProbeWitness)
 	if probes != rounds {
 		t.Errorf("sequential adapter: probes %d != rounds %d", probes, rounds)
 	}

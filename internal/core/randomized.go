@@ -4,64 +4,15 @@ import (
 	"math/rand/v2"
 
 	"probequorum/internal/bitset"
-	"probequorum/internal/coloring"
 	"probequorum/internal/probe"
 	"probequorum/internal/systems"
 )
 
 // The paper's randomized worst-case strategies live on the constructions
 // as implementations of the probe.RandomizedProber capability
-// (internal/systems/randomized.go); the free functions below are the
-// paper-named entry points used by the experiment drivers and tests.
-// R_Probe_HQS (Fig. 7) is kept here in full: the capability dispatches to
-// the improved IR_Probe_HQS, and Fig. 7 survives as the baseline the
-// improvement is measured against.
-
-// RProbeMaj is Algorithm R_Probe_Maj (§4.1): probe elements uniformly at
-// random without replacement until one color reaches the quorum
-// threshold. Worst-case expected probes: n - (n-1)/(n+3) (Theorem 4.2).
-func RProbeMaj(m *systems.Maj, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	return m.ProbeWitnessRandomized(o, rng)
-}
-
-// RProbeWheel is the hub-first wheel strategy with the rim scanned in
-// uniformly random order.
-func RProbeWheel(w *systems.Wheel, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	return w.ProbeWitnessRandomized(o, rng)
-}
-
-// RProbeCW is Algorithm R_Probe_CW (§4.2): probe each row bottom-up in
-// random order until both colors appear, stopping at the first
-// monochromatic row.
-func RProbeCW(c *systems.CW, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	return c.ProbeWitnessRandomized(o, rng)
-}
-
-// RProbeTree is Algorithm R_Probe_Tree (§4.3): a uniformly random choice
-// among three probe orders at every subtree. PCR <= 5n/6 + 1/6
-// (Theorem 4.7).
-func RProbeTree(t *systems.Tree, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	return t.ProbeWitnessRandomized(o, rng)
-}
-
-// RProbeVote probes elements in uniformly random order until one color
-// accumulates a strict weight majority.
-func RProbeVote(v *systems.Vote, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	return v.ProbeWitnessRandomized(o, rng)
-}
-
-// RProbeRecMaj evaluates every gate's children in uniformly random order
-// with short-circuit at the gate threshold — the m-ary generalization of
-// R_Probe_HQS.
-func RProbeRecMaj(r *systems.RecMaj, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	return r.ProbeWitnessRandomized(o, rng)
-}
-
-// IRProbeHQS is Algorithm IR_Probe_HQS (Fig. 8): the improved randomized
-// HQS prober with the grandchild peek. PCR = O(n^0.887) (Theorem 4.10).
-func IRProbeHQS(h *systems.HQS, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	return h.ProbeWitnessRandomized(o, rng)
-}
+// (internal/systems/randomized.go), which dispatches the HQS to the
+// improved IR_Probe_HQS. R_Probe_HQS (Fig. 7) is kept here in full as
+// the baseline the improvement is measured against.
 
 // RProbeHQS is Algorithm R_Probe_HQS (Fig. 7, due to Boppana [16]):
 // evaluate a uniformly random pair of children of every gate, and the
@@ -96,27 +47,4 @@ func mergeMajority(decider, a, b probe.Witness) probe.Witness {
 	set := decider.Set.Clone()
 	set.UnionWith(match.Set)
 	return probe.Witness{Color: decider.Color, Set: set}
-}
-
-// RandomScan is the generic randomized baseline: probe elements in a
-// uniformly random order until one color class contains a quorum. For the
-// majority system it coincides with RProbeMaj.
-func RandomScan(sys systemWithFinder, o probe.Oracle, rng *rand.Rand) probe.Witness {
-	n := sys.Size()
-	greens := bitset.New(n)
-	reds := bitset.New(n)
-	for _, e := range rng.Perm(n) {
-		if o.Probe(e) == coloring.Green {
-			greens.Add(e)
-			if sys.ContainsQuorum(greens) {
-				return extractWitness(sys, coloring.Green, greens)
-			}
-		} else {
-			reds.Add(e)
-			if sys.ContainsQuorum(reds) {
-				return extractWitness(sys, coloring.Red, reds)
-			}
-		}
-	}
-	panic("core: RandomScan exhausted the universe without a witness")
 }

@@ -6,7 +6,6 @@ import (
 
 	"probequorum/internal/availability"
 	"probequorum/internal/coloring"
-	"probequorum/internal/probe"
 	"probequorum/internal/systems"
 )
 
@@ -16,7 +15,7 @@ func TestProbeRecMajSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyAlg(t, r, func(o probe.Oracle) probe.Witness { return ProbeRecMaj(r, o) })
+		verifyAlg(t, r, r.ProbeWitness)
 	}
 }
 
@@ -26,8 +25,8 @@ func TestProbeRecMajMatchesProbeHQS(t *testing.T) {
 	r, _ := systems.NewRecMaj(3, 2)
 	q, _ := systems.NewHQS(2)
 	coloring.All(9, func(col *coloring.Coloring) bool {
-		a := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeRecMaj(r, o) })
-		b := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeHQS(q, o) })
+		a := DeterministicProbes(col, r.ProbeWitness)
+		b := DeterministicProbes(col, q.ProbeWitness)
 		if a != b {
 			t.Fatalf("coloring %s: recmaj %d probes, hqs %d", col, a, b)
 		}
@@ -37,19 +36,19 @@ func TestProbeRecMajMatchesProbeHQS(t *testing.T) {
 
 func TestExpectedGateEvaluations(t *testing.T) {
 	// t = 1: the first child decides: always 1 evaluation.
-	if got := ExpectedGateEvaluations(0.3, 1); math.Abs(got-1) > 1e-12 {
+	if got := systems.ExpectedGateEvaluations(0.3, 1); math.Abs(got-1) > 1e-12 {
 		t.Errorf("t=1: %v, want 1", got)
 	}
 	// t = 2, a = 1/2: the paper's 5/2.
-	if got := ExpectedGateEvaluations(0.5, 2); math.Abs(got-2.5) > 1e-12 {
+	if got := systems.ExpectedGateEvaluations(0.5, 2); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("t=2 a=1/2: %v, want 2.5", got)
 	}
 	// Symmetry in a and 1-a.
-	if x, y := ExpectedGateEvaluations(0.3, 3), ExpectedGateEvaluations(0.7, 3); math.Abs(x-y) > 1e-12 {
+	if x, y := systems.ExpectedGateEvaluations(0.3, 3), systems.ExpectedGateEvaluations(0.7, 3); math.Abs(x-y) > 1e-12 {
 		t.Errorf("asymmetric: %v vs %v", x, y)
 	}
 	// Degenerate a: straight run of t evaluations.
-	if got := ExpectedGateEvaluations(1, 3); math.Abs(got-3) > 1e-12 {
+	if got := systems.ExpectedGateEvaluations(1, 3); math.Abs(got-3) > 1e-12 {
 		t.Errorf("a=1 t=3: %v, want 3", got)
 	}
 }
@@ -61,10 +60,8 @@ func TestExpectedProbeRecMajMatchesEnumeration(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, p := range []float64{0, 0.25, 0.5, 0.8} {
-			got := ExpectedProbeRecMajIID(c.m, c.h, p)
-			want := enumerate(r.Size(), p, func(o probe.Oracle) probe.Witness {
-				return ProbeRecMaj(r, o)
-			})
+			got := systems.ExpectedProbeRecMajIID(c.m, c.h, p)
+			want := enumerate(r.Size(), p, r.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("m=%d h=%d p=%v: recursion %.9f != enumeration %.9f", c.m, c.h, p, got, want)
 			}
@@ -76,8 +73,8 @@ func TestExpectedProbeRecMajMatchesEnumeration(t *testing.T) {
 func TestExpectedProbeRecMaj3MatchesHQS(t *testing.T) {
 	for h := 0; h <= 6; h++ {
 		for _, p := range []float64{0.2, 0.5} {
-			a := ExpectedProbeRecMajIID(3, h, p)
-			b := ExpectedProbeHQSIID(h, p)
+			a := systems.ExpectedProbeRecMajIID(3, h, p)
+			b := systems.ExpectedProbeHQSIID(h, p)
 			if math.Abs(a-b) > 1e-9 {
 				t.Errorf("h=%d p=%v: recmaj %.9f != hqs %.9f", h, p, a, b)
 			}
@@ -119,7 +116,7 @@ func TestRecMajAvailability(t *testing.T) {
 func TestRecMajProbeGapGeneralizes(t *testing.T) {
 	for _, m := range []int{3, 5, 7} {
 		t1 := (m + 1) / 2
-		factor := ExpectedGateEvaluations(0.5, t1)
+		factor := systems.ExpectedGateEvaluations(0.5, t1)
 		if factor <= float64(t1) {
 			t.Errorf("m=%d: gate factor %.4f not above threshold %d", m, factor, t1)
 		}

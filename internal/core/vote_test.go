@@ -20,7 +20,7 @@ func TestProbeVoteSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyAlg(t, v, func(o probe.Oracle) probe.Witness { return ProbeVote(v, o) })
+		verifyAlg(t, v, v.ProbeWitness)
 	}
 }
 
@@ -30,8 +30,8 @@ func TestProbeVoteMatchesProbeMajOnUnitWeights(t *testing.T) {
 	v, _ := systems.NewVote([]int{1, 1, 1, 1, 1})
 	m, _ := systems.NewMaj(5)
 	coloring.All(5, func(col *coloring.Coloring) bool {
-		a := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeVote(v, o) })
-		b := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeMaj(m, o) })
+		a := DeterministicProbes(col, v.ProbeWitness)
+		b := DeterministicProbes(col, m.ProbeWitness)
 		if a != b {
 			t.Fatalf("coloring %s: vote %d probes, maj %d probes", col, a, b)
 		}
@@ -45,7 +45,7 @@ func TestProbeVoteDictator(t *testing.T) {
 	v, _ := systems.NewVote([]int{7, 2, 2, 1, 1}) // threshold 7: element 0 decides
 	for _, reds := range [][]int{{}, {0}, {1, 2}, {0, 1, 2, 3, 4}} {
 		col := coloring.FromReds(5, reds)
-		probes := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeVote(v, o) })
+		probes := DeterministicProbes(col, v.ProbeWitness)
 		if probes != 1 {
 			t.Errorf("reds=%v: %d probes, want 1 (dictator)", reds, probes)
 		}

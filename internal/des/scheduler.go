@@ -16,20 +16,14 @@ import (
 // asks for next is the one to issue. A Scheduler is immutable and safe
 // for concurrent use; each worker carries its own strategyRun.
 //
-// Resolution mirrors the façade's witness dispatch: the system's own
-// Prober (or RandomizedProber) strategy when it has one, else the
-// generic sequential (or random) scan over quorum.Finder systems.
+// The strategy is the one the façade's witness search runs
+// (core.Resolve): the system's own Prober (or RandomizedProber) when it
+// has one, else the generic sequential (or random) scan over
+// quorum.Finder systems.
 type Scheduler struct {
 	n          int
 	randomized bool
 	run        func(o probe.Oracle, rng *rand.Rand) probe.Witness
-}
-
-// schedulable is the Finder fallback's requirement, identical to the
-// façade's finderSystem.
-type schedulable interface {
-	quorum.System
-	quorum.Finder
 }
 
 // NewScheduler resolves the probe strategy of sys into a Scheduler.
@@ -37,35 +31,14 @@ type schedulable interface {
 // used; its random choices are drawn from a per-run stream derived from
 // (seed, trial), so every run within a trial starts from the same draws.
 func NewScheduler(sys quorum.System, randomized bool) (*Scheduler, error) {
-	s := &Scheduler{n: sys.Size(), randomized: randomized}
-	if randomized {
-		switch impl := sys.(type) {
-		case probe.RandomizedProber:
-			s.run = func(o probe.Oracle, rng *rand.Rand) probe.Witness {
-				return impl.ProbeWitnessRandomized(o, rng)
-			}
-		case schedulable:
-			s.run = func(o probe.Oracle, rng *rand.Rand) probe.Witness {
-				return core.RandomScan(impl, o, rng)
-			}
-		default:
+	run := core.Resolve(sys, randomized)
+	if run == nil {
+		if randomized {
 			return nil, scenErrf("system %s has no randomized probe strategy to schedule", sys.Name())
 		}
-		return s, nil
-	}
-	switch impl := sys.(type) {
-	case probe.Prober:
-		s.run = func(o probe.Oracle, _ *rand.Rand) probe.Witness {
-			return impl.ProbeWitness(o)
-		}
-	case schedulable:
-		s.run = func(o probe.Oracle, _ *rand.Rand) probe.Witness {
-			return core.SequentialScan(impl, o)
-		}
-	default:
 		return nil, scenErrf("system %s has no probe strategy to schedule", sys.Name())
 	}
-	return s, nil
+	return &Scheduler{n: sys.Size(), randomized: randomized, run: run}, nil
 }
 
 // cursor is the probe.Oracle a strategy run answers from. An element

@@ -29,7 +29,7 @@ func AblationBaselines() Report {
 		{
 			name: tri.Name(), n: tri.Size(),
 			alg: map[string]func(o probe.Oracle) probe.Witness{
-				"Probe_CW (paper)": func(o probe.Oracle) probe.Witness { return core.ProbeCW(tri, o) },
+				"Probe_CW (paper)": tri.ProbeWitness,
 				"SequentialScan":   func(o probe.Oracle) probe.Witness { return core.SequentialScan(tri, o) },
 				"Universal":        func(o probe.Oracle) probe.Witness { return core.Universal(tri, o) },
 			},
@@ -37,7 +37,7 @@ func AblationBaselines() Report {
 		{
 			name: tree.Name(), n: tree.Size(),
 			alg: map[string]func(o probe.Oracle) probe.Witness{
-				"Probe_Tree (paper)": func(o probe.Oracle) probe.Witness { return core.ProbeTree(tree, o) },
+				"Probe_Tree (paper)": tree.ProbeWitness,
 				"SequentialScan":     func(o probe.Oracle) probe.Witness { return core.SequentialScan(tree, o) },
 				"Universal":          func(o probe.Oracle) probe.Witness { return core.Universal(tree, o) },
 			},
@@ -45,7 +45,7 @@ func AblationBaselines() Report {
 		{
 			name: hqs.Name(), n: hqs.Size(),
 			alg: map[string]func(o probe.Oracle) probe.Witness{
-				"Probe_HQS (paper)": func(o probe.Oracle) probe.Witness { return core.ProbeHQS(hqs, o) },
+				"Probe_HQS (paper)": hqs.ProbeWitness,
 				"SequentialScan":    func(o probe.Oracle) probe.Witness { return core.SequentialScan(hqs, o) },
 				"Universal":         func(o probe.Oracle) probe.Witness { return core.Universal(hqs, o) },
 			},

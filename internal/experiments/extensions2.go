@@ -5,9 +5,9 @@ import (
 
 	"probequorum/internal/coloring"
 	"probequorum/internal/core"
-	"probequorum/internal/load"
 	"probequorum/internal/probe"
 	"probequorum/internal/quorum"
+	"probequorum/internal/rw"
 	"probequorum/internal/sim"
 	"probequorum/internal/systems"
 )
@@ -27,10 +27,10 @@ func HeuristicComparison() Report {
 		sys   quorum.System
 		paper func(o probe.Oracle) probe.Witness
 	}{
-		{maj, func(o probe.Oracle) probe.Witness { return core.ProbeMaj(maj, o) }},
-		{tri, func(o probe.Oracle) probe.Witness { return core.ProbeCW(tri, o) }},
-		{tree, func(o probe.Oracle) probe.Witness { return core.ProbeTree(tree, o) }},
-		{hqs, func(o probe.Oracle) probe.Witness { return core.ProbeHQS(hqs, o) }},
+		{maj, maj.ProbeWitness},
+		{tri, tri.ProbeWitness},
+		{tree, tree.ProbeWitness},
+		{hqs, hqs.ProbeWitness},
 	}
 	for _, tc := range cases {
 		for _, p := range []float64{0.1, 0.5} {
@@ -63,20 +63,28 @@ func LoadMeasure() Report {
 	tri := mustSystem[*systems.CW]("triang:3")
 	tree := mustSystem[*systems.Tree]("tree:2")
 	hqs := mustSystem[*systems.HQS]("hqs:2")
+	// Single-role systems load their one role under any read fraction.
+	w := rw.Workload{ReadFraction: 1}
 	for _, sys := range []quorum.System{maj, wheel, tri, tree, hqs} {
-		uni := load.Uniform(sys).Load()
-		bal, gap, err := load.Balance(sys, 2000)
+		uni, err := rw.Uniform(sys, rw.Options{Workload: w})
 		if err != nil {
 			r.addf("%s: error: %v", sys.Name(), err)
 			continue
 		}
-		lower := load.LowerBound(sys)
+		bal, gap, err := rw.BalanceLoad(sys, 2000, rw.DefaultBalanceGap)
+		if err != nil {
+			r.addf("%s: error: %v", sys.Name(), err)
+			continue
+		}
+		uniLoad, _ := uni.Load(w) // the unit workload always validates
+		balLoad, _ := bal.Load(w)
+		lower := rw.LowerBound(sys)
 		ok := "ok"
-		if bal.Load() < lower-1e-9 {
+		if balLoad < lower-1e-9 {
 			ok = "DEVIATES (below bound)"
 		}
 		r.addf("%-14s uniform=%7.4f  balanced=%7.4f (gap<=%.4f)  lower max(1/c,c/n)=%7.4f  %s",
-			sys.Name(), uni, bal.Load(), gap, lower, ok)
+			sys.Name(), uniLoad, balLoad, gap, lower, ok)
 	}
 	r.addf("note: the wheel shows the gap — uniform overloads the hub, balancing")
 	r.addf("shifts mass to the rim quorum.")

@@ -3,7 +3,7 @@ package experiments
 import (
 	"math"
 
-	"probequorum/internal/core"
+	"probequorum/internal/systems"
 )
 
 // RecMajGeneralization extends §3.4 to recursive m-ary majority systems:
@@ -16,7 +16,7 @@ func RecMajGeneralization() Report {
 	r.addf("%-4s %-10s %-12s %-12s %-14s %-14s", "m", "threshold", "probe-factor", "PPC exp", "quorum exp", "gap exp")
 	for _, m := range []int{3, 5, 7, 9} {
 		t := (m + 1) / 2
-		factor := core.ExpectedGateEvaluations(0.5, t)
+		factor := systems.ExpectedGateEvaluations(0.5, t)
 		ppcExp := math.Log(factor) / math.Log(float64(m))
 		qExp := math.Log(float64(t)) / math.Log(float64(m))
 		r.addf("%-4d %-10d %-12.4f %-12.4f %-14.4f %-14.4f", m, t, factor, ppcExp, qExp, ppcExp-qExp)
@@ -27,8 +27,8 @@ func RecMajGeneralization() Report {
 	r.addf("uniform quorum costs asymptotically more probes than its size — persists")
 	r.addf("at every arity (the exponent gap stays near 0.2).")
 	// Exact expectation sanity on a concrete instance.
-	e := core.ExpectedProbeRecMajIID(5, 3, 0.5)
-	f := core.ExpectedGateEvaluations(0.5, 3)
+	e := systems.ExpectedProbeRecMajIID(5, 3, 0.5)
+	f := systems.ExpectedGateEvaluations(0.5, 3)
 	if math.Abs(e-f*f*f) > 1e-9 {
 		r.addf("DEVIATES: RecMaj(5,3) expectation %.6f != factor^3 %.6f", e, f*f*f)
 	} else {

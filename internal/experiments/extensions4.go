@@ -23,9 +23,7 @@ func ParallelTradeoff() Report {
 		rng := rand.New(rand.NewPCG(71, uint64(p*100)))
 		for i := 0; i < trials; i++ {
 			col := coloring.IID(tri.Size(), p, rng)
-			ps, rs := core.SequentialRounds(tri, col, func(o probe.Oracle) probe.Witness {
-				return core.ProbeCW(tri, o)
-			})
+			ps, rs := core.SequentialRounds(tri, col, tri.ProbeWitness)
 			seqP += float64(ps)
 			seqR += float64(rs)
 			ps, rs = core.ParallelCost(col, func(o *probe.BatchOracle) probe.Witness {

@@ -7,7 +7,6 @@ import (
 	"probequorum/internal/analytic"
 	"probequorum/internal/coloring"
 	"probequorum/internal/core"
-	"probequorum/internal/probe"
 	"probequorum/internal/sim"
 	"probequorum/internal/strategy"
 	"probequorum/internal/systems"
@@ -51,9 +50,7 @@ func table1TriangPPC(r *Report) {
 	tri, _ := systems.NewTriang(k)
 	mc := sim.Estimate(6000, 101, func(rng *rand.Rand) float64 {
 		col := coloring.IID(tri.Size(), 0.5, rng)
-		return float64(core.DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-			return core.ProbeCW(tri, o)
-		}))
+		return float64(core.DeterministicProbes(col, tri.ProbeWitness))
 	})
 	lower := analytic.TriangPPCLowerHalf(k)
 	upper := analytic.CWPPCUpper(k)
@@ -68,7 +65,7 @@ func table1TriangPPC(r *Report) {
 // table1TreePPC: paper row "Tree: O(n^0.585)" — the exact per-level ratio
 // of the Probe_Tree expectation approaches 3/2, i.e. exponent log2(3/2).
 func table1TreePPC(r *Report) {
-	ratio := core.ExpectedProbeTreeIID(32, 0.5) / core.ExpectedProbeTreeIID(31, 0.5)
+	ratio := systems.ExpectedProbeTreeIID(32, 0.5) / systems.ExpectedProbeTreeIID(31, 0.5)
 	localExp := math.Log2(ratio)
 	ok := "ok"
 	if math.Abs(localExp-0.585) > 0.005 {

@@ -35,10 +35,8 @@ func PropositionMaj() Report {
 	bigN := (n + 1) / 2
 	for _, p := range []float64{0.5, 0.4, 0.3, 0.2, 0.1} {
 		form := analytic.MajPPC(n, p)
-		exact := core.ExpectedProbeMajIID(n, p)
-		mc := mcDeterministic(n, p, 4000, 32, func(o probe.Oracle) probe.Witness {
-			return core.ProbeMaj(m, o)
-		})
+		exact := systems.ExpectedProbeMajIID(n, p)
+		mc := mcDeterministic(n, p, 4000, 32, m.ProbeWitness)
 		r.addf("n=%d p=%.1f  exact=%8.3f  paper=%8.3f  %s  (mc=%8.3f)",
 			n, p, exact, form, verdict(exact, form, 0.03), mc.Mean)
 	}
@@ -66,7 +64,7 @@ func TheoremProbeCW() Report {
 		k := cw.Rows()
 		bound := analytic.CWPPCUpper(k)
 		for _, p := range []float64{0.5, 0.2} {
-			exact := core.ExpectedProbeCWIID(widths, p)
+			exact := systems.ExpectedProbeCWIID(widths, p)
 			ok := "ok"
 			if exact > bound {
 				ok = "DEVIATES"
@@ -76,12 +74,10 @@ func TheoremProbeCW() Report {
 		}
 	}
 	cw := mustSystem[*systems.CW]("cw:1,10,10")
-	mc := mcDeterministic(cw.Size(), 0.5, 4000, 33, func(o probe.Oracle) probe.Witness {
-		return core.ProbeCW(cw, o)
-	})
+	mc := mcDeterministic(cw.Size(), 0.5, 4000, 33, cw.ProbeWitness)
 	r.addf("cross-check CW(1,10,10) p=0.5: exact=%.4f  monte-carlo=%.4f  %s",
-		core.ExpectedProbeCWIID([]int{1, 10, 10}, 0.5), mc.Mean,
-		verdict(mc.Mean, core.ExpectedProbeCWIID([]int{1, 10, 10}, 0.5), 0.03))
+		systems.ExpectedProbeCWIID([]int{1, 10, 10}, 0.5), mc.Mean,
+		verdict(mc.Mean, systems.ExpectedProbeCWIID([]int{1, 10, 10}, 0.5), 0.03))
 	r.addf("note: rows with equal k but 5x the elements keep the same expected probes")
 	return r
 }
@@ -92,7 +88,7 @@ func CorollaryWheel() Report {
 	r := Report{ID: "C3.4", Title: "Wheel expected probes <= 3 for every n (Corollary 3.4)"}
 	for _, n := range []int{5, 20, 100, 1000} {
 		for _, p := range []float64{0.5, 0.1, 0.9} {
-			exact := core.ExpectedProbeCWIID([]int{1, n - 1}, p)
+			exact := systems.ExpectedProbeCWIID([]int{1, n - 1}, p)
 			ok := "ok"
 			if exact > 3 {
 				ok = "DEVIATES"
@@ -112,7 +108,7 @@ func PropositionTree() Report {
 	for _, p := range []float64{0.5, 0.3, 0.1} {
 		bound := analytic.TreePPCExponent(p)
 		for _, h := range []int{8, 16, 32} {
-			ratio := core.ExpectedProbeTreeIID(h, p) / core.ExpectedProbeTreeIID(h-1, p)
+			ratio := systems.ExpectedProbeTreeIID(h, p) / systems.ExpectedProbeTreeIID(h-1, p)
 			localExp := math.Log2(ratio)
 			ok := "ok (approaching from above)"
 			if localExp < bound-1e-9 {
@@ -126,10 +122,8 @@ func PropositionTree() Report {
 	}
 	// Small-instance MC cross-check of the exact recursion.
 	tr := mustSystem[*systems.Tree]("tree:6")
-	mc := mcDeterministic(tr.Size(), 0.5, 3000, 36, func(o probe.Oracle) probe.Witness {
-		return core.ProbeTree(tr, o)
-	})
-	exact := core.ExpectedProbeTreeIID(6, 0.5)
+	mc := mcDeterministic(tr.Size(), 0.5, 3000, 36, tr.ProbeWitness)
+	exact := systems.ExpectedProbeTreeIID(6, 0.5)
 	r.addf("cross-check h=6 p=0.5: exact=%.4f  monte-carlo=%.4f  %s",
 		exact, mc.Mean, verdict(mc.Mean, exact, 0.03))
 	return r
@@ -142,7 +136,7 @@ func TheoremHQSProbabilistic() Report {
 	r := Report{ID: "T3.8", Title: "Probe_HQS growth: ratio 5/2 per level at p=1/2, exponent log3(2) off-half (Theorem 3.8)"}
 	prev := 0.0
 	for h := 1; h <= 8; h++ {
-		exact := core.ExpectedProbeHQSIID(h, 0.5)
+		exact := systems.ExpectedProbeHQSIID(h, 0.5)
 		line := ""
 		if prev > 0 {
 			ratio := exact / prev
@@ -153,7 +147,7 @@ func TheoremHQSProbabilistic() Report {
 	}
 	// Off-half: the per-level ratio approaches 2 (exponent log3 2 = 0.631).
 	for _, pp := range []float64{0.2, 0.35} {
-		ratio := core.ExpectedProbeHQSIID(12, pp) / core.ExpectedProbeHQSIID(11, pp)
+		ratio := systems.ExpectedProbeHQSIID(12, pp) / systems.ExpectedProbeHQSIID(11, pp)
 		localExp := math.Log(ratio) / math.Log(3)
 		bound := analytic.HQSPPCExponentBiased()
 		ok := "ok"
@@ -165,11 +159,9 @@ func TheoremHQSProbabilistic() Report {
 	}
 	// Monte Carlo cross-check at h=4.
 	hq := mustSystem[*systems.HQS]("hqs:4")
-	mc := mcDeterministic(hq.Size(), 0.5, 4000, 38, func(o probe.Oracle) probe.Witness {
-		return core.ProbeHQS(hq, o)
-	})
+	mc := mcDeterministic(hq.Size(), 0.5, 4000, 38, hq.ProbeWitness)
 	r.addf("cross-check h=4 p=0.5: exact=%.4f  monte-carlo=%.4f  %s",
-		core.ExpectedProbeHQSIID(4, 0.5), mc.Mean, verdict(mc.Mean, core.ExpectedProbeHQSIID(4, 0.5), 0.03))
+		systems.ExpectedProbeHQSIID(4, 0.5), mc.Mean, verdict(mc.Mean, systems.ExpectedProbeHQSIID(4, 0.5), 0.03))
 	return r
 }
 
@@ -194,9 +186,7 @@ func TheoremHQSOptimality() Report {
 		}
 		opt := opts[0]
 		probeHQS := sim.ExpectedIID(hq.Size(), 0.5, func(col *coloring.Coloring) float64 {
-			return float64(core.DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-				return core.ProbeHQS(hq, o)
-			}))
+			return float64(core.DeterministicProbes(col, hq.ProbeWitness))
 		})
 		paper := math.Pow(2.5, float64(h))
 		r.addf("h=%d  Probe_HQS=%8.6f  (5/2)^h=%8.6f %s  unrestricted optimum=%8.6f",

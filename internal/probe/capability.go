@@ -39,22 +39,12 @@ type RandomizedProber interface {
 // the next Reset).
 //
 // All built-in constructions implement it; the façade's estimate path
-// dispatches on it and falls back to the bitset Prober path otherwise.
+// dispatches on it and runs any other system's strategy on the same
+// oracle. The randomized strategies have no words form: they run their
+// RandomizedProber form against a WordsOracle, which is an Oracle.
 type WordsProber interface {
 	Prober
 
 	// ProbeWitnessWords locates a witness by adaptively probing o.
 	ProbeWitnessWords(o *WordsOracle) WordsWitness
-}
-
-// RandomizedWordsProber is the wide-universe form of RandomizedProber,
-// under the same contract as WordsProber: identical probe sequence and
-// witness as ProbeWitnessRandomized for the same oracle coloring and rng
-// stream.
-type RandomizedWordsProber interface {
-	RandomizedProber
-
-	// ProbeWitnessWordsRandomized locates a witness using rng for its
-	// random choices.
-	ProbeWitnessWordsRandomized(o *WordsOracle, rng *rand.Rand) WordsWitness
 }

@@ -245,17 +245,27 @@ func EstimateAdaptiveCtx[S any](ctx context.Context, maxTrials int, seed uint64,
 	return acc.Summary(), nil
 }
 
+// PanicError reports a trial function that panicked — a third-party
+// prober gone wrong. It fails the estimate that ran the trial.
+type PanicError struct {
+	// Value is the recovered panic value.
+	Value any
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: trial function panicked: %v", e.Value)
+}
+
 // runTrials evaluates trials [start, end) into vals, converting a panic
-// in the trial function — a third-party prober gone wrong — into an
-// error, so one poisonous trial fails its estimate instead of killing
-// the process. Recovery is per chunk, not per trial, to keep the defer
-// off the hot path.
+// in the trial function into a *PanicError, so one poisonous trial fails
+// its estimate instead of killing the process. Recovery is per chunk,
+// not per trial, to keep the defer off the hot path.
 //
 //quorum:hotpath
 func runTrials[S any](seed uint64, start, end int, vals []float64, state S, f func(*rand.Rand, S) float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: trial function panicked: %v", r)
+			err = &PanicError{Value: r}
 		}
 	}()
 	for i := start; i < end; i++ {

@@ -123,9 +123,7 @@ func TestMajPPCMatchesProbeMaj(t *testing.T) {
 		}
 		exp := 0.0
 		coloring.All(5, func(col *coloring.Coloring) bool {
-			probes := core.DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-				return core.ProbeMaj(m, o)
-			})
+			probes := core.DeterministicProbes(col, m.ProbeWitness)
 			exp += float64(probes) * col.Probability(p)
 			return true
 		})
@@ -141,9 +139,7 @@ func probeHQSExpectation(t *testing.T, hq *systems.HQS) float64 {
 	t.Helper()
 	exp := 0.0
 	coloring.All(hq.Size(), func(col *coloring.Coloring) bool {
-		probes := core.DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-			return core.ProbeHQS(hq, o)
-		})
+		probes := core.DeterministicProbes(col, hq.ProbeWitness)
 		exp += float64(probes) * col.Probability(0.5)
 		return true
 	})
@@ -233,9 +229,7 @@ func TestCWPPCSandwich(t *testing.T) {
 	}
 	exp := 0.0
 	coloring.All(cw.Size(), func(col *coloring.Coloring) bool {
-		probes := core.DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-			return core.ProbeCW(cw, o)
-		})
+		probes := core.DeterministicProbes(col, cw.ProbeWitness)
 		exp += float64(probes) * col.Probability(0.5)
 		return true
 	})

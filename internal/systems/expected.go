@@ -15,8 +15,8 @@ import (
 // availability values substituted for the bounds. The recursions are
 // exposed as parameterized functions as well, because they extend beyond
 // constructible universe sizes (e.g. the Tree expectation at height 32);
-// internal/core re-exports those for the experiment drivers. The test
-// suite validates each against full enumeration on small instances.
+// the experiment drivers call them directly. The test suite validates
+// each against full enumeration on small instances.
 
 var (
 	_ quorum.ExactExpectation = (*Maj)(nil)

@@ -11,8 +11,7 @@ import (
 // This file implements the probe.Prober capability — the paper's
 // deterministic probabilistic-model strategies — on every construction,
 // so the façade dispatches on the interface instead of on concrete
-// types. The internal/core package re-exports each strategy as a free
-// function for the experiment drivers.
+// types. probingwords.go holds the word-buffer form of each.
 
 var (
 	_ probe.Prober = (*Maj)(nil)
@@ -32,15 +31,18 @@ func (m *Maj) ProbeWitness(o probe.Oracle) probe.Witness {
 	t := m.Threshold()
 	greens := bitset.New(m.n)
 	reds := bitset.New(m.n)
+	greenCount, redCount := 0, 0
 	for e := 0; e < m.n; e++ {
 		if o.Probe(e) == coloring.Green {
 			greens.Add(e)
-			if greens.Count() == t {
+			greenCount++
+			if greenCount == t {
 				return probe.Witness{Color: coloring.Green, Set: greens}
 			}
 		} else {
 			reds.Add(e)
-			if reds.Count() == t {
+			redCount++
+			if redCount == t {
 				return probe.Witness{Color: coloring.Red, Set: reds}
 			}
 		}

@@ -15,6 +15,15 @@ import (
 // allocation at any universe size. The differential tests in
 // probingwords_test.go pin the two paths to each other element-for-
 // element.
+//
+// The pair is kept on purpose. Only against the concrete WordsOracle
+// does Probe inline into the strategy loop; a single form written
+// against an oracle interface, or a WordsOracle that asks another oracle
+// for colors, loses the inlining and slows the Monte Carlo estimate.
+// The oracle type selects the form: the estimate runs these, while
+// FindWitness on caller oracles and the temporal engine run probing.go.
+// The randomized strategies have one form (randomized.go), which runs
+// on a WordsOracle as on any other Oracle.
 
 var (
 	_ probe.WordsProber = (*Maj)(nil)

@@ -104,15 +104,17 @@ func TestWordsProberMatchesBitset(t *testing.T) {
 	}
 }
 
-// TestRandomizedWordsProberMatchesBitset is the randomized counterpart:
-// with identically seeded PRNGs, both paths must consume the stream the
-// same way and produce the same probes and witness.
+// TestRandomizedWordsProberMatchesBitset is the randomized counterpart.
+// The randomized strategies have one implementation, which the words
+// path (FindWitnessWordsRandomized) runs against a WordsOracle; with
+// identically seeded PRNGs it must consume the stream, probe and answer
+// exactly as it does against a bitset Oracle.
 func TestRandomizedWordsProberMatchesBitset(t *testing.T) {
 	colRNG := rand.New(rand.NewPCG(17, 19))
 	for _, sys := range probeFixtures(t) {
-		wp, ok := sys.(probe.RandomizedWordsProber)
+		rp, ok := sys.(probe.RandomizedProber)
 		if !ok {
-			t.Fatalf("%s does not implement RandomizedWordsProber", sys.Name())
+			t.Fatalf("%s does not implement RandomizedProber", sys.Name())
 		}
 		t.Run(sys.Name(), func(t *testing.T) {
 			n := sys.Size()
@@ -122,11 +124,13 @@ func TestRandomizedWordsProberMatchesBitset(t *testing.T) {
 					col := coloring.IID(n, p, colRNG)
 					seed := uint64(i)*31 + 1
 					bo := probe.NewOracle(col)
-					want := wp.ProbeWitnessRandomized(bo, rand.New(rand.NewPCG(seed, 2)))
+					wantRNG := rand.New(rand.NewPCG(seed, 2))
+					want := rp.ProbeWitnessRandomized(bo, wantRNG)
 
 					wo.SetColoring(col)
 					wo.Reset()
-					got := wp.ProbeWitnessWordsRandomized(wo, rand.New(rand.NewPCG(seed, 2)))
+					gotRNG := rand.New(rand.NewPCG(seed, 2))
+					got := rp.ProbeWitnessRandomized(wo, gotRNG)
 
 					if got.Color != want.Color {
 						t.Fatalf("p=%v draw %d: words color %v, bitset %v", p, i, got.Color, want.Color)
@@ -134,8 +138,14 @@ func TestRandomizedWordsProberMatchesBitset(t *testing.T) {
 					if wo.Probes() != bo.Probes() {
 						t.Fatalf("p=%v draw %d: words probes %d, bitset %d", p, i, wo.Probes(), bo.Probes())
 					}
-					if !quorum.SetOfWords(n, got.Words).Equal(want.Set) {
+					if !got.Set.Equal(want.Set) {
 						t.Fatalf("p=%v draw %d: witnesses differ", p, i)
+					}
+					if !quorum.SetOfWords(n, wo.ProbedWords()).Equal(bo.Probed()) {
+						t.Fatalf("p=%v draw %d: probed sets differ", p, i)
+					}
+					if g, w := gotRNG.Uint64(), wantRNG.Uint64(); g != w {
+						t.Fatalf("p=%v draw %d: next draw %d on words, %d on bitset", p, i, g, w)
 					}
 				}
 			}

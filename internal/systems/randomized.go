@@ -30,15 +30,18 @@ func (m *Maj) ProbeWitnessRandomized(o probe.Oracle, rng *rand.Rand) probe.Witne
 	t := m.Threshold()
 	greens := bitset.New(m.n)
 	reds := bitset.New(m.n)
+	greenCount, redCount := 0, 0
 	for _, e := range rng.Perm(m.n) {
 		if o.Probe(e) == coloring.Green {
 			greens.Add(e)
-			if greens.Count() == t {
+			greenCount++
+			if greenCount == t {
 				return probe.Witness{Color: coloring.Green, Set: greens}
 			}
 		} else {
 			reds.Add(e)
-			if reds.Count() == t {
+			redCount++
+			if redCount == t {
 				return probe.Witness{Color: coloring.Red, Set: reds}
 			}
 		}

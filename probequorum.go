@@ -79,9 +79,6 @@ type (
 	// deterministic strategy probing a word-buffer oracle with no
 	// per-probe allocation; the estimate measure dispatches on it.
 	WordsProber = probe.WordsProber
-	// RandomizedWordsProber is the wide-universe form of
-	// RandomizedProber.
-	RandomizedWordsProber = probe.RandomizedWordsProber
 	// ExactExpectation is the capability of systems with a closed-form
 	// expected probe count under IID(p); ExpectedProbes dispatches on it.
 	ExactExpectation = quorum.ExactExpectation
@@ -288,23 +285,14 @@ func VerifyWitness(sys System, w Witness, col *Coloring) error {
 	return probe.Verify(sys, w, col, nil)
 }
 
-// finderSystem is the contract of the generic fallback strategies.
-type finderSystem interface {
-	System
-	Finder
-}
-
 // FindWitness locates a witness through the Prober capability — every
 // built-in construction implements it with the paper's deterministic
 // strategy (Probe_Maj, Probe_CW, Probe_Tree, Probe_HQS, the hub-first
 // wheel scan, the weighted and m-ary majority scans) — falling back to a
 // sequential scan for other systems that implement Finder.
 func FindWitness(sys System, o Oracle) (Witness, error) {
-	if pr, ok := sys.(Prober); ok {
-		return pr.ProbeWitness(o), nil
-	}
-	if f, ok := sys.(finderSystem); ok {
-		return core.SequentialScan(f, o), nil
+	if run := core.Resolve(sys, false); run != nil {
+		return run(o, nil), nil
 	}
 	return Witness{}, &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: "Prober or Finder"}
 }
@@ -315,11 +303,8 @@ func FindWitness(sys System, o Oracle) (Witness, error) {
 // R_Probe_Tree, IR_Probe_HQS and their wheel/vote/recursive-majority
 // counterparts) — falling back to a random scan for Finder systems.
 func FindWitnessRandomized(sys System, o Oracle, rng *rand.Rand) (Witness, error) {
-	if pr, ok := sys.(RandomizedProber); ok {
-		return pr.ProbeWitnessRandomized(o, rng), nil
-	}
-	if f, ok := sys.(finderSystem); ok {
-		return core.RandomScan(f, o, rng), nil
+	if run := core.Resolve(sys, true); run != nil {
+		return run(o, rng), nil
 	}
 	return Witness{}, &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: "RandomizedProber or Finder"}
 }
@@ -340,13 +325,19 @@ func FindWitnessWords(sys System, o *WordsOracle) (WordsWitness, error) {
 	return WordsWitness{}, &UnsupportedError{What: "wide strategy", Name: sys.Name(), Hint: "WordsProber"}
 }
 
-// FindWitnessWordsRandomized is FindWitnessWords for the randomized
-// worst-case strategies (RandomizedWordsProber).
+// FindWitnessWordsRandomized is FindWitnessRandomized on a words
+// oracle: the same strategy, probes and rng draws, with the witness
+// copied into the oracle's arena (valid until the next Reset).
 func FindWitnessWordsRandomized(sys System, o *WordsOracle, rng *rand.Rand) (WordsWitness, error) {
-	if wp, ok := sys.(RandomizedWordsProber); ok {
-		return wp.ProbeWitnessWordsRandomized(o, rng), nil
+	w, err := FindWitnessRandomized(sys, o, rng)
+	if err != nil {
+		return WordsWitness{}, err
 	}
-	return WordsWitness{}, &UnsupportedError{What: "wide randomized strategy", Name: sys.Name(), Hint: "RandomizedWordsProber"}
+	words := o.AcquireWords()
+	for i := range words {
+		words[i] = w.Set.Word(i)
+	}
+	return WordsWitness{Color: w.Color, Words: words}, nil
 }
 
 // Availability returns F_p(S): the probability that no live quorum exists

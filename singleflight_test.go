@@ -195,25 +195,34 @@ func TestSingleFlightAllAbandonedRebuilds(t *testing.T) {
 // panickySystem blows up everywhere an evaluation can touch it — the
 // third-party-System-gone-wrong scenario panic isolation exists for.
 // Quorums panics inside witness-table builds (plain Systems seed from
-// it); ProbeWitness panics inside Monte Carlo probe trials.
+// it).
 type panickySystem struct{}
 
 func (panickySystem) Name() string                           { return "Panicky(3)" }
 func (panickySystem) Size() int                              { return 3 }
 func (panickySystem) ContainsQuorum(s *probequorum.Set) bool { panic("panickySystem: kaboom") }
 func (panickySystem) Quorums() []*probequorum.Set            { panic("panickySystem: kaboom") }
-func (panickySystem) ProbeWitness(o probequorum.Oracle) probequorum.Witness {
-	panic("panickySystem: kaboom")
+
+// redPanicSystem is a Prober-only Maj(3) whose strategy panics whenever
+// element 0 is red: it passes an all-green dispatch check and blows up
+// inside a Monte Carlo trial.
+type redPanicSystem struct{ probequorum.System }
+
+func (s redPanicSystem) ProbeWitness(o probequorum.Oracle) probequorum.Witness {
+	if o.Probe(0) == probequorum.Red {
+		panic("redPanicSystem: kaboom")
+	}
+	return s.System.(probequorum.Prober).ProbeWitness(o)
 }
 
-// TestPanicIsolation runs measures over a system that panics: every
+// TestPanicIsolation runs measures over systems that panic: every
 // query fails with a typed *PanicError instead of killing the process,
 // and the panic is never cached — each retry fails afresh.
 func TestPanicIsolation(t *testing.T) {
 	eval := probequorum.NewEvaluator()
 	for name, q := range map[string]probequorum.Query{
 		"pc":       {System: panickySystem{}, Measures: []probequorum.Measure{probequorum.MeasurePC}},
-		"estimate": {System: panickySystem{}, Measures: []probequorum.Measure{probequorum.MeasureEstimate}, Ps: []float64{0.5}, Trials: 1000},
+		"estimate": {System: redPanicSystem{probequorum.MustParse("maj:3")}, Measures: []probequorum.Measure{probequorum.MeasureEstimate}, Ps: []float64{0.5}, Trials: 1000},
 	} {
 		for attempt := 0; attempt < 2; attempt++ {
 			_, err := eval.Do(context.Background(), q)
@@ -223,11 +232,9 @@ func TestPanicIsolation(t *testing.T) {
 			if !strings.Contains(err.Error(), "panicked") {
 				t.Fatalf("%s attempt %d: err = %v, want a panic report", name, attempt, err)
 			}
-			if name == "pc" {
-				var pe *probequorum.PanicError
-				if !errors.As(err, &pe) {
-					t.Fatalf("%s attempt %d: err = %v, want *PanicError", name, attempt, err)
-				}
+			var pe *probequorum.PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s attempt %d: err = %v, want *PanicError", name, attempt, err)
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"probequorum"
 	"probequorum/internal/coloring"
 	"probequorum/internal/probe"
+	"probequorum/internal/quorum"
 	"probequorum/internal/sim"
 )
 
@@ -136,24 +137,101 @@ func bitsetEstimate(t *testing.T, sys probequorum.System, p float64, trials int,
 	return s.Mean, (hi - lo) / 2
 }
 
+// proberOnly hides every capability of a built-in but Prober, so the
+// estimate runs it through its generic (non-WordsProber) branch.
+type proberOnly struct{ probequorum.System }
+
+func (s proberOnly) ProbeWitness(o probequorum.Oracle) probequorum.Witness {
+	return s.System.(probequorum.Prober).ProbeWitness(o)
+}
+
 // TestWideEstimateBitIdentical pins the wide Monte Carlo estimates to the
 // bitset word-path estimates for the same (trials, seed), on every
-// registered construction at both word and wide sizes.
+// registered construction at both word and wide sizes, and on a
+// Prober-only wrapper that takes the estimate loop's generic branch.
 func TestWideEstimateBitIdentical(t *testing.T) {
 	const trials, seed = 800, 424242
 	specs := append(append([]string{}, smallSpecs...), "maj:129", "wheel:300", "tree:6", "hqs:5", "recmaj:3x6", "triang:45")
+	cases := make([]struct {
+		name string
+		sys  probequorum.System
+	}, 0, len(specs)+1)
 	for _, s := range specs {
-		t.Run(s, func(t *testing.T) {
-			sys := probequorum.MustParse(s)
+		cases = append(cases, struct {
+			name string
+			sys  probequorum.System
+		}{s, probequorum.MustParse(s)})
+	}
+	cases = append(cases, struct {
+		name string
+		sys  probequorum.System
+	}{"prober-only:tree:6", proberOnly{probequorum.MustParse("tree:6")}})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			for _, p := range []float64{0.1, 0.5} {
-				mean, half, err := probequorum.EstimateAverageProbes(sys, p, trials, seed)
+				mean, half, err := probequorum.EstimateAverageProbes(c.sys, p, trials, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantMean, wantHalf := bitsetEstimate(t, sys, p, trials, seed)
+				wantMean, wantHalf := bitsetEstimate(t, c.sys, p, trials, seed)
 				if mean != wantMean || half != wantHalf {
 					t.Fatalf("p=%v: wide estimate (%v, %v) != bitset estimate (%v, %v)",
 						p, mean, half, wantMean, wantHalf)
+				}
+			}
+		})
+	}
+}
+
+// TestWideFindWitnessWordsRandomized pins the randomized witness search
+// on a words oracle to the same search on a bitset oracle: for the same
+// coloring and rng stream both must reach the same color and witness set
+// with the same probe count, and leave the rng at the same next draw. It
+// runs over every construction at word and wide sizes and over an
+// Explicit system, which takes the generic random scan.
+func TestWideFindWitnessWordsRandomized(t *testing.T) {
+	explicit, err := probequorum.NewExplicit("maj5", 5, probequorum.MustParse("maj:5").Quorums())
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := []probequorum.System{explicit}
+	for _, s := range append(append([]string{}, smallSpecs...), largeSpecs...) {
+		systems = append(systems, probequorum.MustParse(s))
+	}
+	colRNG := rand.New(rand.NewPCG(17, 19))
+	for _, sys := range systems {
+		t.Run(sys.Name(), func(t *testing.T) {
+			n := sys.Size()
+			wo := probequorum.NewWordsOracle(n)
+			for _, p := range []float64{0.2, 0.5, 0.8} {
+				for i := 0; i < 4; i++ {
+					col := coloring.IID(n, p, colRNG)
+					seed := uint64(i)*31 + 1
+					bo := probequorum.NewOracle(col)
+					wantRNG := rand.New(rand.NewPCG(seed, 2))
+					want, err := probequorum.FindWitnessRandomized(sys, bo, wantRNG)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wo.SetColoring(col)
+					wo.Reset()
+					gotRNG := rand.New(rand.NewPCG(seed, 2))
+					got, err := probequorum.FindWitnessWordsRandomized(sys, wo, gotRNG)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Color != want.Color {
+						t.Fatalf("p=%v draw %d: words color %v, bitset %v", p, i, got.Color, want.Color)
+					}
+					if !quorum.SetOfWords(n, got.Words).Equal(want.Set) {
+						t.Fatalf("p=%v draw %d: words witness %v, bitset witness %v", p, i, quorum.SetOfWords(n, got.Words), want.Set)
+					}
+					if wo.Probes() != bo.Probes() {
+						t.Fatalf("p=%v draw %d: words probes %d, bitset %d", p, i, wo.Probes(), bo.Probes())
+					}
+					if g, w := gotRNG.Uint64(), wantRNG.Uint64(); g != w {
+						t.Fatalf("p=%v draw %d: next rng draw %d, want %d", p, i, g, w)
+					}
 				}
 			}
 		})
