@@ -20,7 +20,7 @@ var builtinSpecs = []string{
 }
 
 // TestBuiltinCapabilityConformance pins the API contract: every built-in
-// construction implements the mask fast path, all three probing
+// construction implements the words fast path, all three probing
 // capabilities, both closed-form capabilities, the renderer and the spec
 // round-trip. A built-in without WordsProber would silently leave the
 // estimate's words strategy for its generic branch.
@@ -31,8 +31,8 @@ func TestBuiltinCapabilityConformance(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", spec, err)
 		}
 		t.Run(sys.Name(), func(t *testing.T) {
-			if _, ok := sys.(MaskSystem); !ok {
-				t.Error("does not implement MaskSystem")
+			if _, ok := sys.(WideMaskSystem); !ok {
+				t.Error("does not implement WideMaskSystem")
 			}
 			if _, ok := sys.(Prober); !ok {
 				t.Error("does not implement Prober")
@@ -63,15 +63,15 @@ func TestBuiltinCapabilityConformance(t *testing.T) {
 }
 
 // TestExplicitCapabilities pins the optional-capability boundary:
-// Explicit systems carry the mask path and a display spec but no probing
+// Explicit systems carry the words path and a display spec but no probing
 // strategy, closed form or renderer — they take the generic fallbacks.
 func TestExplicitCapabilities(t *testing.T) {
 	exp, err := NewExplicitSystem("maj3", 3, [][]int{{0, 1}, {1, 2}, {0, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := exp.(MaskSystem); !ok {
-		t.Error("Explicit does not implement MaskSystem")
+	if _, ok := exp.(WideMaskSystem); !ok {
+		t.Error("Explicit does not implement WideMaskSystem")
 	}
 	if _, ok := exp.(Specced); !ok {
 		t.Error("Explicit does not implement Specced")

@@ -92,13 +92,15 @@ type benchOp struct {
 }
 
 // benchOps is the fixed suite of hot-path operations: the word-level
-// witness primitive, the exact DPs on both engines, the parallel and
-// sequential Monte Carlo loops, the exhaustive availability enumerations,
-// the Evaluator session's cached paths against their uncached
-// counterparts, and the batch-query fan-out cold vs. warm. Each op is
-// sized to finish in well under a minute.
+// witness primitive (witness/mask-word and availability/BruteForce-mask
+// time ContainsQuorumWords on a one-word slice, the bitset and coloring
+// ops the ContainsQuorum reference), the exact DPs on both engines, the
+// parallel and sequential Monte Carlo loops, the exhaustive availability
+// enumerations, the Evaluator session's cached paths against their
+// uncached counterparts, and the batch-query fan-out cold vs. warm. Each
+// op is sized to finish in well under a minute.
 func benchOps() []benchOp {
-	maj63 := spec.MustParse("maj:63").(quorum.MaskSystem)
+	maj63 := spec.MustParse("maj:63").(quorum.WideMaskSystem)
 	maj11 := spec.MustParse("maj:11")
 	maj9 := spec.MustParse("maj:9")
 	maj17 := spec.MustParse("maj:17")
@@ -108,9 +110,11 @@ func benchOps() []benchOp {
 
 	return []benchOp{
 		{name: "witness/mask-word/Maj63", fn: func(b *testing.B) {
+			words := make([]uint64, 1)
 			hits := 0
 			for i := 0; i < b.N; i++ {
-				if maj63.ContainsQuorumMask(uint64(i) * 0x9E3779B97F4A7C15 >> 1) {
+				words[0] = uint64(i) * 0x9E3779B97F4A7C15 >> 1
+				if maj63.ContainsQuorumWords(words) {
 					hits++
 				}
 			}

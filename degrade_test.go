@@ -19,19 +19,22 @@ import (
 // capabilities: no closed-form availability (the built-in constructions
 // all have one and so never degrade it) and no native strategies, so
 // every exact measure needs the 2^n witness table and the fallbacks go
-// through the generic Monte Carlo machinery. The single-word mask
-// capability keeps table builds cancellable without enumerating the
-// C(n, n/2+1) minimal quorums; the quorum-enumeration entry points must
-// never be reached on these paths and panic if they are.
+// through the generic Monte Carlo machinery. The words capability keeps
+// table builds cancellable without enumerating the C(n, n/2+1) minimal
+// quorums; the quorum-enumeration entry point must never be reached on
+// these paths and panics if it is.
 type opaqueMaj struct{ n int }
 
 func (o opaqueMaj) Name() string                           { return fmt.Sprintf("OpaqueMaj(%d)", o.n) }
 func (o opaqueMaj) Size() int                              { return o.n }
 func (o opaqueMaj) ContainsQuorum(s *probequorum.Set) bool { return s.Count() > o.n/2 }
-func (o opaqueMaj) ContainsQuorumMask(mask uint64) bool {
-	return bits.OnesCount64(mask) > o.n/2
+func (o opaqueMaj) ContainsQuorumWords(words []uint64) bool {
+	total := 0
+	for _, w := range words {
+		total += bits.OnesCount64(w)
+	}
+	return total > o.n/2
 }
-func (o opaqueMaj) QuorumMasks() []uint64 { panic("opaqueMaj: QuorumMasks must not be needed") }
 func (o opaqueMaj) Quorums() []*probequorum.Set {
 	panic("opaqueMaj: Quorums must not be needed")
 }

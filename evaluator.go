@@ -34,10 +34,10 @@ import (
 const evaluatorMaxSystems = 64
 
 // Evaluator is a measurement session: it memoizes per-system derived
-// artifacts — the word-level mask view, the dense WitnessTable, the
-// minimal quorum masks and the availability failure-count polynomial —
-// so repeated measures on the same system hit a cache instead of
-// recomputing, which is the serving pattern the library is grown for.
+// artifacts — the wide mask view, the dense WitnessTable and the
+// availability failure-count polynomial — so repeated measures on the
+// same system hit a cache instead of recomputing, which is the serving
+// pattern the library is grown for.
 // Exact measure results (ProbeComplexity, AverageProbeComplexity) are
 // memoized as well.
 //
@@ -126,10 +126,6 @@ type evalEntry struct {
 	// key, so concurrent cold queries share one build per artifact.
 	builds map[string]*buildCall
 
-	mask    MaskSystem
-	maskErr error
-	maskOK  bool
-
 	wide    WideMaskSystem
 	wideErr error
 	wideOK  bool
@@ -137,8 +133,6 @@ type evalEntry struct {
 	table    *quorum.WitnessTable
 	tableErr error
 	tableOK  bool
-
-	quorumMasks []uint64
 
 	// failCounts[g] is the number of g-element green sets containing no
 	// quorum: the availability polynomial F_p = sum_g failCounts[g] q^g
@@ -215,24 +209,6 @@ func (e *Evaluator) entry(sys System) *evalEntry {
 	e.entries[sys] = ent
 	e.order = append(e.order, sys)
 	return ent
-}
-
-// MaskView returns the cached word-level view of the system (the system
-// itself when it implements MaskSystem natively, a cached-enumeration
-// adapter otherwise).
-func (e *Evaluator) MaskView(sys System) (MaskSystem, error) {
-	ent := e.entry(sys)
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	return ent.maskView(sys)
-}
-
-func (ent *evalEntry) maskView(sys System) (MaskSystem, error) {
-	if !ent.maskOK {
-		ent.mask, ent.maskErr = quorum.Masked(sys)
-		ent.maskOK = true
-	}
-	return ent.mask, ent.maskErr
 }
 
 // WideMaskView returns the cached wide word-level view of the system (the
@@ -400,23 +376,6 @@ func (e *Evaluator) entryTable(ctx context.Context, ent *evalEntry, sys System) 
 	}
 	table, _ := v.(*quorum.WitnessTable)
 	return table, nil
-}
-
-// QuorumMasks returns the cached minimal quorum masks of the system.
-func (e *Evaluator) QuorumMasks(sys System) ([]uint64, error) {
-	ent := e.entry(sys)
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	if ent.quorumMasks == nil {
-		ms, err := ent.maskView(sys)
-		if err != nil {
-			return nil, err
-		}
-		ent.quorumMasks = ms.QuorumMasks()
-	}
-	out := make([]uint64, len(ent.quorumMasks))
-	copy(out, ent.quorumMasks)
-	return out, nil
 }
 
 // Availability returns F_p(S). Systems with the ExactAvailability

@@ -2,12 +2,12 @@
 // the widthdual fixtures.
 package quorum
 
-type MaskSystem interface {
-	Universe() int
-	ContainsQuorum(mask uint64) bool
+type System interface {
+	Size() int
+	ContainsQuorum(set []bool) bool
 }
 
 type WideMaskSystem interface {
-	MaskSystem
+	System
 	ContainsQuorumWords(words []uint64) bool
 }

@@ -1,22 +1,37 @@
-// Package systems exercises both widthdual checks: a MaskSystem-only
-// type and raw single-bit shifts.
+// Package systems exercises both widthdual checks: types declaring
+// ContainsQuorum with and without the words form, and raw single-bit
+// shifts.
 package systems
 
 import "quorum"
 
-type Narrow struct{ n int } // want "Narrow implements MaskSystem but not WideMaskSystem"
+type Narrow struct{ n int } // want "Narrow declares ContainsQuorum but does not implement WideMaskSystem"
 
-func (s Narrow) Universe() int                   { return s.n }
-func (s Narrow) ContainsQuorum(mask uint64) bool { return mask != 0 }
+func (s Narrow) Size() int                      { return s.n }
+func (s Narrow) ContainsQuorum(set []bool) bool { return len(set) > 0 }
 
 type Dual struct{ n int }
 
-func (s Dual) Universe() int                           { return s.n }
-func (s Dual) ContainsQuorum(mask uint64) bool         { return mask != 0 }
+func (s Dual) Size() int                               { return s.n }
+func (s Dual) ContainsQuorum(set []bool) bool          { return len(set) > 0 }
 func (s Dual) ContainsQuorumWords(words []uint64) bool { return len(words) > 0 }
 
-var _ quorum.MaskSystem = Narrow{}
+type PtrDual struct{ n int }
+
+func (s *PtrDual) Size() int                               { return s.n }
+func (s *PtrDual) ContainsQuorum(set []bool) bool          { return len(set) > 0 }
+func (s *PtrDual) ContainsQuorumWords(words []uint64) bool { return len(words) > 0 }
+
+// Promoted's ContainsQuorum comes from the embedded interface, so the type
+// declares none and is exempt.
+type Promoted struct{ quorum.System }
+
+func (p Promoted) Role() quorum.System { return p.System }
+
+var _ quorum.System = Narrow{}
 var _ quorum.WideMaskSystem = Dual{}
+var _ quorum.WideMaskSystem = (*PtrDual)(nil)
+var _ quorum.System = Promoted{}
 
 func bitOps(e int, words []uint64) uint64 {
 	m := uint64(1) << uint(e)          // want "raw uint64 single-bit shift outside internal/bitset"

@@ -1,7 +1,7 @@
-// Package widthdual enforces the width-dispatch duality contract: every
-// quorum system that speaks the packed uint64 mask protocol must also
-// speak the words protocol, and bit arithmetic on word layouts belongs
-// in internal/bitset.
+// Package widthdual enforces the width-dispatch contract: every quorum
+// system that declares a characteristic function must also speak the
+// words protocol every hot path dispatches on, and bit arithmetic on word
+// layouts belongs in internal/bitset.
 package widthdual
 
 import (
@@ -14,15 +14,17 @@ import (
 	"probequorum/internal/analysis/framework"
 )
 
-const doc = `check the MaskSystem/WideMaskSystem duality and raw uint64 bit shifts
+const doc = `check that declared quorum systems speak WideMaskSystem, and raw uint64 bit shifts
 
-In internal/systems and internal/rw, a type implementing MaskSystem
-(n <= 64 packed masks) without WideMaskSystem (ContainsQuorumWords over
-[]uint64) silently falls off the wide fast path; the analyzer flags the
-type declaration. Everywhere outside internal/bitset it also flags raw
-single-bit shifts — uint64-typed 1<<x with a non-constant shift — which
-must go through bitset.Bit / bitset.LowMask so the word layout has one
-owner.`
+In internal/systems and internal/rw, a package-level type that declares
+its own ContainsQuorum method (the bitset reference) without
+implementing WideMaskSystem (ContainsQuorumWords over []uint64) misses
+the fast predicate every hot path dispatches on; the analyzer flags the
+type declaration. A ContainsQuorum promoted from an embedded field is not
+declared by the type and is exempt. Everywhere outside internal/bitset it
+also flags raw single-bit shifts — uint64-typed 1<<x with a non-constant
+shift — which must go through bitset.Bit / bitset.LowMask so the word
+layout has one owner.`
 
 // Analyzer is the widthdual invariant check.
 var Analyzer = &framework.Analyzer{
@@ -34,7 +36,7 @@ var Analyzer = &framework.Analyzer{
 func run(pass *framework.Pass) error {
 	base := path.Base(pass.Pkg.Path())
 	if base == "systems" || base == "rw" {
-		checkDuality(pass)
+		checkWide(pass)
 	}
 	if base != "bitset" {
 		checkShifts(pass)
@@ -52,25 +54,34 @@ func lookupInterface(pkg *types.Package, name string) *types.Interface {
 	return iface
 }
 
-// maskInterfaces locates the MaskSystem/WideMaskSystem pair visible to
-// the package: declared locally or in a direct import.
-func maskInterfaces(pkg *types.Package) (mask, wide *types.Interface) {
-	candidates := append([]*types.Package{pkg}, pkg.Imports()...)
-	for _, p := range candidates {
-		m := lookupInterface(p, "MaskSystem")
-		w := lookupInterface(p, "WideMaskSystem")
-		if m != nil && w != nil {
-			return m, w
+// wideInterface locates the WideMaskSystem interface visible to the
+// package: declared locally or in a direct import.
+func wideInterface(pkg *types.Package) *types.Interface {
+	for _, p := range append([]*types.Package{pkg}, pkg.Imports()...) {
+		if w := lookupInterface(p, "WideMaskSystem"); w != nil {
+			return w
 		}
 	}
-	return nil, nil
+	return nil
 }
 
-// checkDuality reports package-level types that implement MaskSystem
-// but not WideMaskSystem.
-func checkDuality(pass *framework.Pass) {
-	mask, wide := maskInterfaces(pass.Pkg)
-	if mask == nil || wide == nil {
+// declaresContainsQuorum reports whether the named type itself declares a
+// ContainsQuorum method, on a value or pointer receiver; methods promoted
+// from embedded fields are not among its declared methods.
+func declaresContainsQuorum(named *types.Named) bool {
+	for i := 0; i < named.NumMethods(); i++ {
+		if named.Method(i).Name() == "ContainsQuorum" {
+			return true
+		}
+	}
+	return false
+}
+
+// checkWide reports package-level types that declare ContainsQuorum but
+// do not implement WideMaskSystem.
+func checkWide(pass *framework.Pass) {
+	wide := wideInterface(pass.Pkg)
+	if wide == nil {
 		return
 	}
 	scope := pass.Pkg.Scope()
@@ -79,15 +90,13 @@ func checkDuality(pass *framework.Pass) {
 		if !ok || tn.IsAlias() {
 			continue
 		}
-		T := tn.Type()
-		if types.IsInterface(T) {
+		named, ok := tn.Type().(*types.Named)
+		if !ok || types.IsInterface(named) || !declaresContainsQuorum(named) {
 			continue
 		}
-		ptr := types.NewPointer(T)
-		implMask := types.Implements(T, mask) || types.Implements(ptr, mask)
-		implWide := types.Implements(T, wide) || types.Implements(ptr, wide)
-		if implMask && !implWide {
-			pass.Reportf(tn.Pos(), "%s implements MaskSystem but not WideMaskSystem: add ContainsQuorumWords so wide dispatch keeps the fast path", name)
+		// The pointer's method set includes the value's.
+		if !types.Implements(types.NewPointer(named), wide) {
+			pass.Reportf(tn.Pos(), "%s declares ContainsQuorum but does not implement WideMaskSystem: add ContainsQuorumWords so hot paths keep the fast predicate", name)
 		}
 	}
 }

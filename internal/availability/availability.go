@@ -14,7 +14,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 
-	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
 	"probequorum/internal/quorum"
 )
@@ -167,10 +166,10 @@ func Vote(weights []int, p float64) float64 {
 }
 
 // BruteForce returns F_p(S) by exhaustive enumeration of all 2^n failure
-// patterns. Systems with a native mask path (all built-in constructions)
-// are enumerated as word masks — no per-coloring bitsets — with the
-// pattern probability looked up by red count; other systems fall back to
-// coloring enumeration. It panics for n > 24.
+// patterns. Wide-mask systems (all built-in constructions) are enumerated
+// as one-word masks — no per-coloring bitsets — with the pattern
+// probability looked up by red count; other systems fall back to coloring
+// enumeration. It panics for n > 24.
 func BruteForce(sys quorum.System, p float64) float64 {
 	checkP(p)
 	n := sys.Size()
@@ -178,11 +177,13 @@ func BruteForce(sys quorum.System, p float64) float64 {
 		panic(fmt.Sprintf("availability: BruteForce limited to n <= 24, got %d", n))
 	}
 	total := 0.0
-	if ms, ok := sys.(quorum.MaskSystem); ok {
+	if ws, ok := sys.(quorum.WideMaskSystem); ok {
 		probOfReds := redCountProbs(n, p)
 		full := quorum.FullMask(n)
+		greens := make([]uint64, 1)
 		for reds := uint64(0); reds <= full; reds++ {
-			if !ms.ContainsQuorumMask(full &^ reds) {
+			greens[0] = full &^ reds
+			if !ws.ContainsQuorumWords(greens) {
 				total += probOfReds[bits.OnesCount64(reds)]
 			}
 		}
@@ -215,13 +216,12 @@ func redCountProbs(n int, p float64) []float64 {
 	return out
 }
 
-// MonteCarlo estimates F_p(S) from the given number of IID trials. For
-// mask-native systems each trial draws a word mask directly — consuming
-// the same PRNG stream as coloring.IID, so estimates are unchanged — and
-// performs no allocation. Wide-mask systems above one word route through
-// ContainsQuorumWords with two per-call word buffers reused across every
-// trial; only systems without any mask capability fall back to
-// per-coloring bitsets.
+// MonteCarlo estimates F_p(S) from the given number of IID trials.
+// Wide-mask systems (all built-in constructions, at every size) draw each
+// trial's failure pattern into a reused word buffer — consuming the same
+// PRNG stream as coloring.IID, so estimates are unchanged — and test it
+// with ContainsQuorumWords without allocating; systems without the
+// capability fall back to per-coloring bitsets.
 func MonteCarlo(sys quorum.System, p float64, trials int, rng *rand.Rand) float64 {
 	checkP(p)
 	if trials <= 0 {
@@ -229,21 +229,6 @@ func MonteCarlo(sys quorum.System, p float64, trials int, rng *rand.Rand) float6
 	}
 	n := sys.Size()
 	fails := 0
-	if ms, ok := sys.(quorum.MaskSystem); ok && n <= quorum.MaskWords {
-		full := quorum.FullMask(n)
-		for i := 0; i < trials; i++ {
-			var reds uint64
-			for e := 0; e < n; e++ {
-				if rng.Float64() < p {
-					reds |= bitset.Bit(e)
-				}
-			}
-			if !ms.ContainsQuorumMask(full &^ reds) {
-				fails++
-			}
-		}
-		return float64(fails) / float64(trials)
-	}
 	if ws, ok := sys.(quorum.WideMaskSystem); ok {
 		reds := make([]uint64, quorum.WordCount(n))
 		greens := make([]uint64, quorum.WordCount(n))

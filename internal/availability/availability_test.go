@@ -178,11 +178,11 @@ func TestOfDispatch(t *testing.T) {
 	}
 }
 
-// hideMask strips the mask methods off a system, forcing the per-coloring
+// hideMask strips the words method off a system, forcing the per-coloring
 // fallback paths of BruteForce and MonteCarlo.
 type hideMask struct{ quorum.System }
 
-// The mask enumeration of BruteForce must reproduce the per-coloring
+// The one-word enumeration of BruteForce must reproduce the per-coloring
 // fallback exactly — same patterns, same probability arithmetic, same
 // summation order.
 func TestBruteForceMaskMatchesColoringFallback(t *testing.T) {
@@ -204,8 +204,9 @@ func TestBruteForceMaskMatchesColoringFallback(t *testing.T) {
 	}
 }
 
-// The allocation-free mask path of MonteCarlo consumes the same PRNG
-// stream as the coloring path, so fixed seeds give identical estimates.
+// The allocation-free words path of MonteCarlo on a one-word universe
+// consumes the same PRNG stream as the coloring path, so fixed seeds give
+// identical estimates.
 func TestMonteCarloMaskMatchesColoringFallback(t *testing.T) {
 	hqs, _ := systems.NewHQS(2)
 	got := availability.MonteCarlo(hqs, 0.4, 3000, rand.New(rand.NewPCG(5, 9)))
@@ -215,11 +216,11 @@ func TestMonteCarloMaskMatchesColoringFallback(t *testing.T) {
 	}
 }
 
-// The wide-mask path of MonteCarlo (n > 64) also consumes one Float64 per
+// The words path of MonteCarlo at n > 64 also consumes one Float64 per
 // element per trial, so it is bit-identical to the per-coloring fallback
 // for the same seed.
 func TestMonteCarloWideMatchesColoringFallback(t *testing.T) {
-	tree, _ := systems.NewTree(6) // n = 127: wide path, no single-word masks
+	tree, _ := systems.NewTree(6) // n = 127: two-word masks
 	got := availability.MonteCarlo(tree, 0.45, 2000, rand.New(rand.NewPCG(21, 2)))
 	want := availability.MonteCarlo(hideMask{tree}, 0.45, 2000, rand.New(rand.NewPCG(21, 2)))
 	if got != want {

@@ -8,33 +8,10 @@ import (
 	"probequorum/internal/bitset"
 )
 
-// MaskWords is the number of elements a single machine word can index: the
-// mask-native fast path is available exactly when the universe fits one
-// uint64.
+// MaskWords is the number of elements a single machine word can index:
+// subsets of universes up to this size pack into one uint64, the index
+// space of witness tables, the exact DPs and the artifact store.
 const MaskWords = 64
-
-// MaskSystem is the word-level capability of a quorum system over a
-// universe of at most 64 elements: element e is bit e of a uint64, so that
-// superset tests against a precomputed quorum mask q reduce to
-// mask&q == q with zero allocation.
-//
-// ContainsQuorumMask must agree with ContainsQuorum on the indicator set of
-// the mask, and like it must be monotone. QuorumMasks must enumerate
-// exactly the minimal quorums of Quorums, as word masks; it shares the
-// feasibility limits of Quorums (the count may be exponential).
-//
-// All built-in constructions implement MaskSystem natively; Masked adapts
-// any other System by caching its enumerated quorums.
-type MaskSystem interface {
-	System
-
-	// ContainsQuorumMask reports whether the indicator set of mask contains
-	// a quorum. Only bits [0, Size()) may be set.
-	ContainsQuorumMask(mask uint64) bool
-
-	// QuorumMasks returns the minimal quorums as word masks.
-	QuorumMasks() []uint64
-}
 
 // FullMask returns the word mask of an entire n-element universe,
 // handling n = MaskWords without shift overflow. It panics if n is out of
@@ -87,56 +64,13 @@ func MasksOf(sets []*bitset.Set) []uint64 {
 	return out
 }
 
-// Masked returns a word-level view of sys. Systems that implement
-// MaskSystem natively (all built-in constructions) are returned as-is;
-// any other system is wrapped in an adapter that enumerates and caches its
-// minimal quorum masks once, so that every later superset test is a scan
-// of mask&q == q word comparisons. It fails with a BoundError for
-// universes above MaskWords elements (use WideMasked there) and with a
-// BudgetError when the enumeration would exceed EnumerationBudget.
-func Masked(sys System) (MaskSystem, error) {
-	if sys.Size() > MaskWords {
-		return nil, &BoundError{Op: "quorum: word mask engine", N: sys.Size(), Max: MaskWords}
-	}
-	if ms, ok := sys.(MaskSystem); ok {
-		return ms, nil
-	}
-	quorums := sys.Quorums()
-	if len(quorums) > EnumerationBudget {
-		return nil, &BudgetError{Name: sys.Name(), Count: len(quorums), Budget: EnumerationBudget}
-	}
-	return &maskAdapter{System: sys, masks: MasksOf(quorums)}, nil
-}
-
-// maskAdapter is the cached-enumeration MaskSystem for arbitrary systems.
-type maskAdapter struct {
-	System
-	masks []uint64
-}
-
-func (a *maskAdapter) ContainsQuorumMask(mask uint64) bool {
-	for _, q := range a.masks {
-		if mask&q == q {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *maskAdapter) QuorumMasks() []uint64 {
-	out := make([]uint64, len(a.masks))
-	copy(out, a.masks)
-	return out
-}
-
-func (a *maskAdapter) cachedQuorumMasks() []uint64 { return a.masks }
-
-// enumBacked marks mask systems whose ContainsQuorumMask is a linear scan
-// over a cached quorum-mask list. For those, building a witness table by
-// per-mask evaluation would cost Θ(2^n · |Q|); seeding the table with the
-// cached masks and closing upward is exact and far cheaper.
+// enumBacked marks systems whose membership test is a linear scan over a
+// cached quorum list (Explicit, the WideMasked adapter). For those,
+// building a witness table by per-subset evaluation would cost
+// Θ(2^n · |Q|); seeding the table with the cached quorums and closing
+// upward is exact and far cheaper.
 type enumBacked interface {
-	cachedQuorumMasks() []uint64
+	cachedQuorumWords() wordFamily
 }
 
 // MaxTableUniverse bounds the universe size accepted by BuildWitnessTable
@@ -153,11 +87,12 @@ type WitnessTable struct {
 }
 
 // BuildWitnessTable evaluates the system's characteristic function on
-// every subset of the universe. Structural MaskSystems evaluate the 2^n
-// masks directly; enumeration-backed ones (Explicit, the Masked adapter)
-// and plain Systems instead seed the table with their minimal quorum
-// masks, and a word-level upward (superset) closure completes it in
-// O(n 2^n / 64) word operations. It fails for n > MaxTableUniverse.
+// every subset of the universe. WideMaskSystems answer ContainsQuorumWords
+// on one-word slices for the masks their monotonicity leaves open;
+// enumeration-backed ones (Explicit, the WideMasked adapter) and plain
+// Systems instead seed the table with their minimal quorums, and a
+// word-level upward (superset) closure completes it in O(n 2^n / 64) word
+// operations. It fails for n > MaxTableUniverse.
 func BuildWitnessTable(sys System) (*WitnessTable, error) {
 	return BuildWitnessTableCtx(context.Background(), sys)
 }
@@ -175,33 +110,60 @@ func BuildWitnessTableCtx(ctx context.Context, sys System) (*WitnessTable, error
 		words = 1 << uint(n-6)
 	}
 	t := &WitnessTable{n: n, bits: make([]uint64, words)}
-	var seeds []uint64
-	switch ms := sys.(type) {
+	switch s := sys.(type) {
 	case enumBacked:
-		seeds = ms.cachedQuorumMasks()
-	case MaskSystem:
-		limit := bitset.Pow2(n)
-		for m := uint64(0); m < limit; m++ {
-			if m&0xFFFF == 0 && ctx.Err() != nil {
+		// Word 0 of each cached wide mask is the quorum's whole mask.
+		f := s.cachedQuorumWords()
+		for i := 0; i < len(f.words); i += f.stride {
+			t.set(f.words[i])
+		}
+	case WideMaskSystem:
+		// Masks are decided in ascending order, so every immediate subset
+		// of a mask is decided before it, and by monotonicity a mask with
+		// a quorum-holding immediate subset holds one too. Only the other
+		// masks are evaluated: the subsets lacking an element e >= 6 sit in
+		// earlier table words and are ORed in a word at a time; of the
+		// in-word subsets, the one lacking the lowest element is checked.
+		buf := make([]uint64, 1)
+		size := min(bitset.Pow2(n), MaskWords)
+		for i := range t.bits {
+			if i&0x3FF == 0 && ctx.Err() != nil {
 				return nil, ctx.Err()
 			}
-			if ms.ContainsQuorumMask(m) {
-				t.bits[m>>6] |= bitset.Bit(int(m))
+			var word uint64
+			for j := uint64(i); j != 0; j &= j - 1 {
+				word |= t.bits[uint64(i)&^(j&-j)]
 			}
+			for b := uint64(0); b < size; b++ {
+				if word>>b&1 != 0 {
+					continue
+				}
+				if b != 0 && word>>(b&(b-1))&1 != 0 {
+					word |= bitset.Bit(int(b))
+					continue
+				}
+				buf[0] = uint64(i)<<6 | b
+				if s.ContainsQuorumWords(buf) {
+					word |= bitset.Bit(int(b))
+				}
+			}
+			t.bits[i] = word
 		}
 		return t, nil
 	default:
-		seeds = MasksOf(sys.Quorums())
+		for _, q := range sys.Quorums() {
+			t.set(MaskOf(q))
+		}
 	}
 	if ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
-	for _, q := range seeds {
-		t.bits[q>>6] |= bitset.Bit(int(q))
-	}
 	t.upwardClosure()
 	return t, nil
 }
+
+// set marks subset mask m as containing a quorum.
+func (t *WitnessTable) set(m uint64) { t.bits[m>>6] |= bitset.Bit(int(m)) }
 
 // upwardClosure ORs every subset's bit into all of its supersets: after the
 // pass, bit m is set iff some seeded mask is a subset of m. Element bits

@@ -10,7 +10,7 @@ import (
 )
 
 // explicitFixture is a small explicit coterie over 5 elements exercising
-// the generic (enumeration-backed) mask paths.
+// the generic (enumeration-backed) paths.
 func explicitFixture(t *testing.T) *quorum.Explicit {
 	t.Helper()
 	n := 5
@@ -26,21 +26,20 @@ func explicitFixture(t *testing.T) *quorum.Explicit {
 	return e
 }
 
-// hideMask wraps a System, discarding its mask methods, so tests can force
+// hideMask wraps a System, discarding its words method, so tests can force
 // the cached-enumeration adapter and the closure-based table builder.
 type hideMask struct{ quorum.System }
 
-// directEval re-exposes only the MaskSystem methods — not the cached mask
-// list (no embedding, so no promoted unexported methods) — forcing
-// BuildWitnessTable's direct 2^n evaluation branch.
+// directEval re-exposes only the WideMaskSystem methods — not the cached
+// quorum list (no embedding, so no promoted unexported methods) — forcing
+// BuildWitnessTable's ContainsQuorumWords evaluation branch.
 type directEval struct{ e *quorum.Explicit }
 
-func (d directEval) Name() string                        { return d.e.Name() }
-func (d directEval) Size() int                           { return d.e.Size() }
-func (d directEval) ContainsQuorum(s *bitset.Set) bool   { return d.e.ContainsQuorum(s) }
-func (d directEval) Quorums() []*bitset.Set              { return d.e.Quorums() }
-func (d directEval) ContainsQuorumMask(mask uint64) bool { return d.e.ContainsQuorumMask(mask) }
-func (d directEval) QuorumMasks() []uint64               { return d.e.QuorumMasks() }
+func (d directEval) Name() string                            { return d.e.Name() }
+func (d directEval) Size() int                               { return d.e.Size() }
+func (d directEval) ContainsQuorum(s *bitset.Set) bool       { return d.e.ContainsQuorum(s) }
+func (d directEval) Quorums() []*bitset.Set                  { return d.e.Quorums() }
+func (d directEval) ContainsQuorumWords(words []uint64) bool { return d.e.ContainsQuorumWords(words) }
 
 func TestMaskOfRoundTrip(t *testing.T) {
 	s := bitset.FromSlice(10, []int{0, 3, 9})
@@ -62,20 +61,22 @@ func TestSetOfMaskRejectsOutOfRangeBits(t *testing.T) {
 	quorum.SetOfMask(3, 0b1000)
 }
 
-// The adapter's word-level tests must agree with the wrapped system's
-// bitset evaluation on every subset.
+// The enumeration adapter's one-word tests must agree with the wrapped
+// system's bitset evaluation on every subset.
 func TestMaskedAdapterMatchesSystem(t *testing.T) {
 	base := explicitFixture(t)
-	ms, err := quorum.Masked(hideMask{base})
+	ws, err := quorum.WideMasked(hideMask{base})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, native := interface{}(ms).(*quorum.Explicit); native {
-		t.Fatal("Masked returned the native system for a wrapped one")
+	if _, native := ws.(*quorum.Explicit); native {
+		t.Fatal("WideMasked returned the native system for a wrapped one")
 	}
 	n := base.Size()
+	words := make([]uint64, 1)
 	for mask := uint64(0); mask < 1<<uint(n); mask++ {
-		got := ms.ContainsQuorumMask(mask)
+		words[0] = mask
+		got := ws.ContainsQuorumWords(words)
 		want := base.ContainsQuorum(quorum.SetOfMask(n, mask))
 		if got != want {
 			t.Fatalf("mask %#b: adapter=%v, system=%v", mask, got, want)
@@ -83,24 +84,24 @@ func TestMaskedAdapterMatchesSystem(t *testing.T) {
 	}
 }
 
-// Masked must hand native implementations straight through.
+// WideMasked must hand native implementations straight through.
 func TestMaskedReturnsNativeSystem(t *testing.T) {
 	base := explicitFixture(t)
-	ms, err := quorum.Masked(base)
+	ws, err := quorum.WideMasked(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms != quorum.MaskSystem(base) {
-		t.Error("Masked wrapped a system that already implements MaskSystem")
+	if ws != quorum.WideMaskSystem(base) {
+		t.Error("WideMasked wrapped a system that already implements WideMaskSystem")
 	}
 }
 
 // The witness table must equal the characteristic function everywhere, on
-// all three construction paths: enumeration seeding for cached-mask
+// all three construction paths: enumeration seeding for cached-quorum
 // systems (Explicit), quorum-mask seeding plus word-level upward closure
-// for plain Systems, and direct 2^n evaluation for structural
-// MaskSystems (exercised separately on the built-in constructions in
-// internal/systems via the strategy golden tests).
+// for plain Systems, and evaluation of ContainsQuorumWords for structural
+// WideMaskSystems (exercised on every built-in construction by
+// TestContainsQuorumMaskMatchesBitset in internal/systems).
 func TestWitnessTableMatchesCharacteristicFunction(t *testing.T) {
 	base := explicitFixture(t)
 	n := base.Size()
@@ -159,8 +160,8 @@ func TestBuildWitnessTableGuard(t *testing.T) {
 	if _, err := quorum.BuildWitnessTable(big); err == nil {
 		t.Error("BuildWitnessTable accepted n > MaxTableUniverse")
 	}
-	if _, err := quorum.Masked(sized{n: quorum.MaskWords + 1}); err == nil {
-		t.Error("Masked accepted n > MaskWords")
+	if _, err := quorum.TableFromWords(quorum.MaxTableUniverse+1, nil); err == nil {
+		t.Error("TableFromWords accepted n > MaxTableUniverse")
 	}
 }
 

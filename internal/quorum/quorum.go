@@ -277,15 +277,13 @@ type Explicit struct {
 	name    string
 	n       int
 	quorums []*bitset.Set
-	masks   []uint64   // word masks of quorums, precomputed when n <= MaskWords
-	wide    [][]uint64 // wide masks of quorums, precomputed at every size
+	wide    wordFamily // wide masks of quorums, precomputed at every size
 }
 
 var (
 	_ System         = (*Explicit)(nil)
 	_ Finder         = (*Explicit)(nil)
 	_ Sized          = (*Explicit)(nil)
-	_ MaskSystem     = (*Explicit)(nil)
 	_ WideMaskSystem = (*Explicit)(nil)
 )
 
@@ -313,14 +311,7 @@ func NewExplicit(name string, n int, quorums []*bitset.Set) (*Explicit, error) {
 	if !IsAntichain(cp) {
 		return nil, errors.New("quorum: family violates minimality (not a coterie)")
 	}
-	e := &Explicit{name: name, n: n, quorums: cp, wide: make([][]uint64, len(cp))}
-	for i, q := range cp {
-		e.wide[i] = WordsOf(q)
-	}
-	if n <= MaskWords {
-		e.masks = MasksOf(cp)
-	}
-	return e, nil
+	return &Explicit{name: name, n: n, quorums: cp, wide: newWordFamily(n, cp)}, nil
 }
 
 // Name implements System.
@@ -348,50 +339,13 @@ func (e *Explicit) Quorums() []*bitset.Set {
 	return out
 }
 
-// ContainsQuorumMask implements MaskSystem by scanning the precomputed
-// quorum word masks. It panics for universes above MaskWords elements.
-func (e *Explicit) ContainsQuorumMask(mask uint64) bool {
-	if e.n > MaskWords {
-		panic(fmt.Sprintf("quorum: Explicit mask path requires n <= %d, got %d", MaskWords, e.n))
-	}
-	for _, q := range e.masks {
-		if mask&q == q {
-			return true
-		}
-	}
-	return false
-}
-
-// QuorumMasks implements MaskSystem.
-func (e *Explicit) QuorumMasks() []uint64 {
-	if e.n > MaskWords {
-		panic(fmt.Sprintf("quorum: Explicit mask path requires n <= %d, got %d", MaskWords, e.n))
-	}
-	out := make([]uint64, len(e.masks))
-	copy(out, e.masks)
-	return out
-}
-
-// cachedQuorumMasks marks Explicit as enumeration-backed so witness
-// tables are built by seeding and upward closure rather than 2^n scans.
-func (e *Explicit) cachedQuorumMasks() []uint64 {
-	if e.n > MaskWords {
-		panic(fmt.Sprintf("quorum: Explicit mask path requires n <= %d, got %d", MaskWords, e.n))
-	}
-	return e.masks
-}
-
 // ContainsQuorumWords implements WideMaskSystem by a subset scan over the
-// precomputed wide quorum masks. Unlike the single-word path it works at
-// every universe size.
-func (e *Explicit) ContainsQuorumWords(words []uint64) bool {
-	for _, q := range e.wide {
-		if SubsetOfWords(q, words) {
-			return true
-		}
-	}
-	return false
-}
+// precomputed wide quorum masks.
+func (e *Explicit) ContainsQuorumWords(words []uint64) bool { return e.wide.anySubsetOf(words) }
+
+// cachedQuorumWords marks Explicit as enumeration-backed so witness
+// tables are built by seeding and upward closure rather than 2^n scans.
+func (e *Explicit) cachedQuorumWords() wordFamily { return e.wide }
 
 // FindQuorumWithin implements Finder.
 func (e *Explicit) FindQuorumWithin(allowed *bitset.Set) (*bitset.Set, bool) {

@@ -15,16 +15,16 @@ import (
 // system instead of degrading without warning.
 const MaxWideUniverse = 4096
 
-// WideMaskSystem is the wide-universe counterpart of MaskSystem: the
-// characteristic function evaluated on a little-endian []uint64 element
-// mask (bit e of the mask is words[e/64]>>(e%64)&1), sharing the
-// internal/bitset word layout. It is the capability every hot path above
-// 64 elements dispatches on.
+// WideMaskSystem is the fast form of a system's characteristic function:
+// ContainsQuorum evaluated on a little-endian []uint64 element mask (bit e
+// of the mask is words[e/64]>>(e%64)&1), sharing the internal/bitset word
+// layout. A universe of at most MaskWords elements is a one-word slice.
+// It is the capability every hot path dispatches on, at every size.
 //
 // ContainsQuorumWords must agree with ContainsQuorum on the indicator set
-// of the words and, for n <= MaskWords, with ContainsQuorumMask(words[0]).
-// Callers pass exactly WordCount(Size()) words with no bits at or above
-// Size(); implementations may read but never retain or mutate the slice.
+// of the words. Callers pass exactly WordCount(Size()) words with no bits
+// at or above Size(); implementations may read but never retain or mutate
+// the slice.
 //
 // All built-in constructions implement WideMaskSystem natively at every
 // size; WideMasked adapts any other System by enumerating its minimal
@@ -135,6 +135,36 @@ func WordsOf(s *bitset.Set) []uint64 {
 	return out
 }
 
+// wordFamily is a family of wide masks over one universe stored back to
+// back in one array, stride words each: membership scans read contiguous
+// memory, and over a one-word universe the array is the family's list of
+// one-word masks.
+type wordFamily struct {
+	stride int
+	words  []uint64
+}
+
+func newWordFamily(n int, sets []*bitset.Set) wordFamily {
+	f := wordFamily{stride: WordCount(n), words: make([]uint64, 0, len(sets)*WordCount(n))}
+	for _, s := range sets {
+		for j := 0; j < f.stride; j++ {
+			f.words = append(f.words, s.Word(j))
+		}
+	}
+	return f
+}
+
+// anySubsetOf reports whether some mask of the family is a subset of
+// words.
+func (f wordFamily) anySubsetOf(words []uint64) bool {
+	for i := 0; i < len(f.words); i += f.stride {
+		if SubsetOfWords(f.words[i:i+f.stride], words) {
+			return true
+		}
+	}
+	return false
+}
+
 // SetOfWords unpacks a wide mask into a fresh set over an n-element
 // universe. It panics when the word count does not match or the mask has
 // bits at or above n.
@@ -154,8 +184,8 @@ func SetOfWords(n int, words []uint64) *bitset.Set {
 	return s
 }
 
-// EnumerationBudget bounds the minimal-quorum count the adapters (Masked,
-// WideMasked) will cache for systems without a native mask path. Every
+// EnumerationBudget bounds the minimal-quorum count the WideMasked
+// adapter will cache for systems without a native mask path. Every
 // later membership test scans the cached list, so an over-budget family
 // would make the adapter itself a standing memory and latency cliff; the
 // guard refuses with a BudgetError telling the caller to implement the
@@ -177,7 +207,7 @@ type BudgetError struct {
 }
 
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("quorum: %s enumerates %d minimal quorums, above the adaptation budget %d; implement MaskSystem/WideMaskSystem natively or raise quorum.EnumerationBudget",
+	return fmt.Sprintf("quorum: %s enumerates %d minimal quorums, above the adaptation budget %d; implement WideMaskSystem natively or raise quorum.EnumerationBudget",
 		e.Name, e.Count, e.Budget)
 }
 
@@ -206,11 +236,10 @@ func (e *BoundError) Error() string {
 
 // WideMasked returns a wide word-level view of sys. Systems implementing
 // WideMaskSystem natively (all built-in constructions) are returned
-// as-is; a system with only the single-word capability is wrapped so its
-// ContainsQuorumMask serves one-word universes; any other system is
-// wrapped in an adapter that enumerates and caches its minimal quorums as
-// wide masks, refusing with a BudgetError beyond EnumerationBudget. It
-// fails with a BoundError above MaxWideUniverse elements.
+// as-is; any other system is wrapped in an adapter that enumerates and
+// caches its minimal quorums as wide masks, refusing with a BudgetError
+// beyond EnumerationBudget. It fails with a BoundError above
+// MaxWideUniverse elements.
 func WideMasked(sys System) (WideMaskSystem, error) {
 	n := sys.Size()
 	if n > MaxWideUniverse {
@@ -219,28 +248,11 @@ func WideMasked(sys System) (WideMaskSystem, error) {
 	if ws, ok := sys.(WideMaskSystem); ok {
 		return ws, nil
 	}
-	if ms, ok := sys.(MaskSystem); ok && n <= MaskWords {
-		return &wordWide{MaskSystem: ms}, nil
-	}
 	quorums := sys.Quorums()
 	if len(quorums) > EnumerationBudget {
 		return nil, &BudgetError{Name: sys.Name(), Count: len(quorums), Budget: EnumerationBudget}
 	}
-	masks := make([][]uint64, len(quorums))
-	for i, q := range quorums {
-		masks[i] = WordsOf(q)
-	}
-	return &wideAdapter{System: sys, masks: masks}, nil
-}
-
-// wordWide lifts a single-word MaskSystem to the wide capability for
-// universes that fit one word.
-type wordWide struct {
-	MaskSystem
-}
-
-func (w *wordWide) ContainsQuorumWords(words []uint64) bool {
-	return w.ContainsQuorumMask(words[0])
+	return &wideAdapter{System: sys, masks: newWordFamily(n, quorums)}, nil
 }
 
 // wideAdapter is the cached-enumeration WideMaskSystem for arbitrary
@@ -248,14 +260,9 @@ func (w *wordWide) ContainsQuorumWords(words []uint64) bool {
 // masks.
 type wideAdapter struct {
 	System
-	masks [][]uint64
+	masks wordFamily
 }
 
-func (a *wideAdapter) ContainsQuorumWords(words []uint64) bool {
-	for _, q := range a.masks {
-		if SubsetOfWords(q, words) {
-			return true
-		}
-	}
-	return false
-}
+func (a *wideAdapter) ContainsQuorumWords(words []uint64) bool { return a.masks.anySubsetOf(words) }
+
+func (a *wideAdapter) cachedQuorumWords() wordFamily { return a.masks }

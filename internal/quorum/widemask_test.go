@@ -55,8 +55,8 @@ func TestWideWordsRoundTrip(t *testing.T) {
 	}
 }
 
-// wideless hides every mask capability of a system, forcing the
-// enumeration adapters.
+// wideless hides the words capability of a system, forcing the
+// enumeration adapter.
 type wideless struct{ System }
 
 func TestWideMaskedAdapters(t *testing.T) {
@@ -101,7 +101,8 @@ func TestWideMaskedAdapters(t *testing.T) {
 }
 
 func TestWideMaskedWordBridge(t *testing.T) {
-	// A MaskSystem-only system over one word gets the bridge adapter.
+	// A system without the words capability over one word gets the
+	// enumeration adapter, which must agree with the native one-word path.
 	small, err := NewExplicit("small", 5, []*bitset.Set{
 		bitset.FromSlice(5, []int{0, 1}),
 		bitset.FromSlice(5, []int{0, 2}),
@@ -110,18 +111,14 @@ func TestWideMaskedWordBridge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Embedding only the MaskSystem interface hides Explicit's native wide
-	// capability, so the bridge path is exercised.
-	type maskOnly struct {
-		MaskSystem
-	}
-	ws, err := WideMasked(maskOnly{small})
+	ws, err := WideMasked(wideless{small})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for mask := uint64(0); mask < 1<<5; mask++ {
-		if got, want := ws.ContainsQuorumWords([]uint64{mask}), small.ContainsQuorumMask(mask); got != want {
-			t.Fatalf("mask %#b: bridge=%v native=%v", mask, got, want)
+		words := []uint64{mask}
+		if got, want := ws.ContainsQuorumWords(words), small.ContainsQuorumWords(words); got != want {
+			t.Fatalf("mask %#b: adapter=%v native=%v", mask, got, want)
 		}
 	}
 }
@@ -146,9 +143,6 @@ func TestEnumerationBudgetGuard(t *testing.T) {
 		if !errors.As(err, &be) || be.Count != 3 || be.Budget != 2 {
 			t.Fatalf("want BudgetError{Count:3, Budget:2}, got %v", err)
 		}
-	}
-	if _, err := Masked(wideless{ex}); err == nil {
-		t.Fatal("Masked ignored the enumeration budget")
 	}
 }
 

@@ -2,7 +2,6 @@ package rw
 
 import (
 	"fmt"
-	"math/bits"
 
 	"probequorum/internal/bitset"
 	"probequorum/internal/quorum"
@@ -10,7 +9,7 @@ import (
 
 // This file holds the native role systems behind the two-role
 // constructors: Choose(k of n) threshold roles (read-one/write-all),
-// grid rows and grid transversals. Each is a full mask/wide-mask-native
+// grid rows and grid transversals. Each is a full wide-mask-native
 // quorum.System in its own right — within a role the quorums need not
 // pairwise intersect (ROWA reads do not), which is why these cannot be
 // quorum.Explicit values; intersection is a pair property (duality), not
@@ -26,7 +25,6 @@ var (
 	_ quorum.System          = (*Choose)(nil)
 	_ quorum.Finder          = (*Choose)(nil)
 	_ quorum.Sized           = (*Choose)(nil)
-	_ quorum.MaskSystem      = (*Choose)(nil)
 	_ quorum.WideMaskSystem  = (*Choose)(nil)
 	_ quorum.ExactResilience = (*Choose)(nil)
 )
@@ -52,9 +50,6 @@ func (c *Choose) Threshold() int { return c.k }
 // ContainsQuorum implements quorum.System.
 func (c *Choose) ContainsQuorum(s *bitset.Set) bool { return s.Count() >= c.k }
 
-// ContainsQuorumMask implements quorum.MaskSystem.
-func (c *Choose) ContainsQuorumMask(mask uint64) bool { return bits.OnesCount64(mask) >= c.k }
-
 // ContainsQuorumWords implements quorum.WideMaskSystem.
 func (c *Choose) ContainsQuorumWords(words []uint64) bool {
 	return quorum.PopcountWords(words) >= c.k
@@ -71,21 +66,9 @@ func (c *Choose) Quorums() []*bitset.Set {
 		panic(fmt.Sprintf("rw: Choose(%d of %d) enumerates more than %d quorums", c.k, c.n, quorum.EnumerationBudget))
 	}
 	var out []*bitset.Set
-	for _, m := range c.QuorumMasks() {
-		out = append(out, quorum.SetOfMask(c.n, m))
-	}
-	return out
-}
-
-// QuorumMasks implements quorum.MaskSystem (same bounds as Quorums).
-func (c *Choose) QuorumMasks() []uint64 {
-	if c.n > quorum.MaskWords {
-		panic(fmt.Sprintf("rw: Choose enumeration requires n <= %d, got %d", quorum.MaskWords, c.n))
-	}
-	var out []uint64
 	limit := quorum.FullMask(c.n)
 	for m := quorum.FullMask(c.k); m <= limit; {
-		out = append(out, m)
+		out = append(out, quorum.SetOfMask(c.n, m))
 		// Gosper's hack: next mask with the same popcount.
 		u := m & -m
 		v := m + u
@@ -146,7 +129,6 @@ type grid struct {
 	r, c     int
 	rows     []*bitset.Set
 	rowWords [][]uint64
-	rowMasks []uint64 // only when r*c <= MaskWords
 }
 
 func gridShape(r, c int) *grid {
@@ -159,9 +141,6 @@ func gridShape(r, c int) *grid {
 		}
 		g.rows[i] = row
 		g.rowWords[i] = quorum.WordsOf(row)
-	}
-	if n <= quorum.MaskWords {
-		g.rowMasks = quorum.MasksOf(g.rows)
 	}
 	return g
 }
@@ -177,7 +156,6 @@ var (
 	_ quorum.System          = (*gridRows)(nil)
 	_ quorum.Finder          = (*gridRows)(nil)
 	_ quorum.Sized           = (*gridRows)(nil)
-	_ quorum.MaskSystem      = (*gridRows)(nil)
 	_ quorum.WideMaskSystem  = (*gridRows)(nil)
 	_ quorum.ExactResilience = (*gridRows)(nil)
 )
@@ -188,16 +166,6 @@ func (g *gridRows) Size() int    { return g.n() }
 func (g *gridRows) ContainsQuorum(s *bitset.Set) bool {
 	for _, row := range g.rows {
 		if row.SubsetOf(s) {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *gridRows) ContainsQuorumMask(mask uint64) bool {
-	g.maskGuard()
-	for _, row := range g.rowMasks {
-		if mask&row == row {
 			return true
 		}
 	}
@@ -221,13 +189,6 @@ func (g *gridRows) Quorums() []*bitset.Set {
 	return out
 }
 
-func (g *gridRows) QuorumMasks() []uint64 {
-	g.maskGuard()
-	out := make([]uint64, len(g.rowMasks))
-	copy(out, g.rowMasks)
-	return out
-}
-
 func (g *gridRows) FindQuorumWithin(allowed *bitset.Set) (*bitset.Set, bool) {
 	for _, row := range g.rows {
 		if row.SubsetOf(allowed) {
@@ -244,12 +205,6 @@ func (g *gridRows) MaxQuorumSize() int { return g.c }
 // one element per row, so any r-1 failures leave a full row alive.
 func (g *gridRows) Resilience() int { return g.r - 1 }
 
-func (g *grid) maskGuard() {
-	if g.rowMasks == nil {
-		panic(fmt.Sprintf("rw: grid mask path requires n <= %d, got %d", quorum.MaskWords, g.n()))
-	}
-}
-
 // gridTransversal is the grid write role: a quorum is any transversal
 // hitting every row (minimal quorums pick exactly one element per row,
 // c^r of them — membership never enumerates).
@@ -261,7 +216,6 @@ var (
 	_ quorum.System          = (*gridTransversal)(nil)
 	_ quorum.Finder          = (*gridTransversal)(nil)
 	_ quorum.Sized           = (*gridTransversal)(nil)
-	_ quorum.MaskSystem      = (*gridTransversal)(nil)
 	_ quorum.WideMaskSystem  = (*gridTransversal)(nil)
 	_ quorum.ExactResilience = (*gridTransversal)(nil)
 )
@@ -272,16 +226,6 @@ func (g *gridTransversal) Size() int    { return g.n() }
 func (g *gridTransversal) ContainsQuorum(s *bitset.Set) bool {
 	for _, row := range g.rows {
 		if !row.Intersects(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func (g *gridTransversal) ContainsQuorumMask(mask uint64) bool {
-	g.maskGuard()
-	for _, row := range g.rowMasks {
-		if mask&row == 0 {
 			return false
 		}
 	}
@@ -333,12 +277,6 @@ func (g *gridTransversal) Quorums() []*bitset.Set {
 	}
 }
 
-func (g *gridTransversal) QuorumMasks() []uint64 {
-	g.maskGuard()
-	qs := g.Quorums()
-	return quorum.MasksOf(qs)
-}
-
 func (g *gridTransversal) FindQuorumWithin(allowed *bitset.Set) (*bitset.Set, bool) {
 	q := bitset.New(g.n())
 	for _, row := range g.rows {
@@ -384,7 +322,6 @@ type explicitRole struct {
 	name    string
 	n       int
 	quorums []*bitset.Set
-	masks   []uint64
 	wide    [][]uint64
 }
 
@@ -415,9 +352,6 @@ func newExplicitRole(name string, n int, quorums []*bitset.Set) (*explicitRole, 
 	e := &explicitRole{name: name, n: n, quorums: cp, wide: make([][]uint64, len(cp))}
 	for i, q := range cp {
 		e.wide[i] = quorum.WordsOf(q)
-	}
-	if n <= quorum.MaskWords {
-		e.masks = quorum.MasksOf(cp)
 	}
 	return e, nil
 }

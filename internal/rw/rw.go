@@ -58,7 +58,7 @@ func (s *selfPair) WriteRole() quorum.System { return s.System }
 // Pair is a read/write quorum system built from two role systems over
 // one universe. It implements quorum.System as the read role (so the
 // whole single-role measure stack — witness tables, probe strategies,
-// availability — applies to reads), with mask, wide-mask and finder
+// availability — applies to reads), with wide-mask and finder
 // delegation falling back to total bitset paths when a role lacks the
 // native capability.
 type Pair struct {
@@ -76,7 +76,6 @@ var (
 	_ quorum.System         = (*Pair)(nil)
 	_ quorum.Finder         = (*Pair)(nil)
 	_ quorum.Sized          = (*Pair)(nil)
-	_ quorum.MaskSystem     = (*Pair)(nil)
 	_ quorum.WideMaskSystem = (*Pair)(nil)
 	_ ReadWrite             = (*Pair)(nil)
 )
@@ -188,32 +187,12 @@ func (p *Pair) ContainsQuorum(s *bitset.Set) bool { return p.reads.ContainsQuoru
 // Quorums implements quorum.System: the minimal read quorums.
 func (p *Pair) Quorums() []*bitset.Set { return p.reads.Quorums() }
 
-// ContainsQuorumMask implements quorum.MaskSystem, delegating to the
-// read role's native word path when it has one and falling back to the
+// ContainsQuorumWords implements quorum.WideMaskSystem, delegating to the
+// read role's native words path when it has one and falling back to the
 // (total, slower) bitset evaluation otherwise.
-func (p *Pair) ContainsQuorumMask(mask uint64) bool {
-	if ms, ok := p.reads.(quorum.MaskSystem); ok {
-		return ms.ContainsQuorumMask(mask)
-	}
-	return p.reads.ContainsQuorum(quorum.SetOfMask(p.n, mask))
-}
-
-// QuorumMasks implements quorum.MaskSystem.
-func (p *Pair) QuorumMasks() []uint64 {
-	if ms, ok := p.reads.(quorum.MaskSystem); ok {
-		return ms.QuorumMasks()
-	}
-	return quorum.MasksOf(p.reads.Quorums())
-}
-
-// ContainsQuorumWords implements quorum.WideMaskSystem with the same
-// delegate-or-fallback scheme as the word path.
 func (p *Pair) ContainsQuorumWords(words []uint64) bool {
 	if ws, ok := p.reads.(quorum.WideMaskSystem); ok {
 		return ws.ContainsQuorumWords(words)
-	}
-	if ms, ok := p.reads.(quorum.MaskSystem); ok && p.n <= quorum.MaskWords {
-		return ms.ContainsQuorumMask(words[0])
 	}
 	return p.reads.ContainsQuorum(quorum.SetOfWords(p.n, words))
 }

@@ -254,11 +254,13 @@ func TestPairDelegation(t *testing.T) {
 	if !p.ContainsQuorum(s) {
 		t.Error("ContainsQuorum lost in delegation")
 	}
-	if got := p.ContainsQuorumMask(0b10101); !got {
-		t.Error("ContainsQuorumMask lost in delegation")
-	}
 	if got := p.ContainsQuorumWords([]uint64{0b10101}); !got {
 		t.Error("ContainsQuorumWords lost in delegation")
+	}
+	// A read role without the words capability takes the bitset fallback.
+	bare := FromSingle(struct{ quorum.System }{inner})
+	if !bare.ContainsQuorumWords([]uint64{0b10101}) || bare.ContainsQuorumWords([]uint64{0b00101}) {
+		t.Error("ContainsQuorumWords bitset fallback disagrees with the read role")
 	}
 	if q, ok := p.FindQuorumWithin(s); !ok || q.Count() != 3 {
 		t.Errorf("FindQuorumWithin = %v, %v", q, ok)

@@ -20,9 +20,7 @@ type CW struct {
 	widths  []int
 	offsets []int // offsets[i] is the index of the first element of row i
 	n       int
-	// rowMasks[i] is the word mask of row i, precomputed when the universe
-	// fits one machine word (n <= quorum.MaskWords).
-	rowMasks []uint64
+	windows []rowWindow // windows[i] is row i's word window
 }
 
 var (
@@ -58,20 +56,18 @@ func NewCW(widths []int) (*CW, error) {
 	for i, wd := range w {
 		parts[i] = fmt.Sprintf("%d", wd)
 	}
-	c := &CW{
+	windows := make([]rowWindow, len(w))
+	for i, wd := range w {
+		windows[i] = newRowWindow(offsets[i], offsets[i]+wd)
+	}
+	return &CW{
 		name:    fmt.Sprintf("CW(%s)", strings.Join(parts, ",")),
 		spec:    fmt.Sprintf("cw:%s", strings.Join(parts, ",")),
 		widths:  w,
 		offsets: offsets,
 		n:       n,
-	}
-	if n <= quorum.MaskWords {
-		c.rowMasks = make([]uint64, len(w))
-		for i, wd := range w {
-			c.rowMasks[i] = bitset.LowMask(wd) << uint(offsets[i])
-		}
-	}
-	return c, nil
+		windows: windows,
+	}, nil
 }
 
 // NewTriang returns the Triang system with k rows: the (1, 2, ..., k)-CW
@@ -249,73 +245,79 @@ func (c *CW) appendReps(out []*bitset.Set, base *bitset.Set, row int) []*bitset.
 	return out
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the bottom-up row scan
-// of ContainsQuorum with each row's full/hit tests collapsed to one AND
-// against the precomputed row mask. Every row below the current one is
-// known to be hit, else the scan would have returned already.
-func (c *CW) ContainsQuorumMask(mask uint64) bool {
-	maskGuard("CW", c.n)
-	for j := len(c.widths) - 1; j >= 0; j-- {
-		hit := mask & c.rowMasks[j]
-		if hit == c.rowMasks[j] {
-			return true
-		}
-		if hit == 0 && j > 0 {
-			// Every row above j needs a representative from row j.
-			return false
-		}
-	}
-	return false
+// rowWindow is a row's element range in the wide-mask word layout: the
+// first and last word it touches and the row's bits in each of them. A
+// row inside one word has lw == hw and lo == hi.
+type rowWindow struct {
+	lw, hw int
+	lo, hi uint64
 }
 
-// ContainsQuorumWords implements quorum.WideMaskSystem: the bottom-up row
-// scan of ContainsQuorumMask with each row's full/hit test evaluated as a
-// word-window test over the row's element range.
+// newRowWindow returns the word window of the elements [start, end).
+func newRowWindow(start, end int) rowWindow {
+	lw, hw := start/quorum.MaskWords, (end-1)/quorum.MaskWords
+	lo := ^bitset.LowMask(start % quorum.MaskWords)
+	hi := bitset.LowMask((end-1)%quorum.MaskWords + 1)
+	if lw == hw {
+		lo &= hi
+		hi = lo
+	}
+	return rowWindow{lw: lw, hw: hw, lo: lo, hi: hi}
+}
+
+// ContainsQuorumWords implements quorum.WideMaskSystem: the bottom-up
+// row scan of ContainsQuorum with each row's full/hit tests evaluated on
+// its precomputed word window, one AND and one compare for a row inside a
+// single word. Every row below the current one is known to be hit, else
+// the scan would have returned already.
 func (c *CW) ContainsQuorumWords(words []uint64) bool {
-	for j := len(c.widths) - 1; j >= 0; j-- {
-		lo, hi := c.RowRange(j)
-		if wordsRangeFull(words, lo, hi) {
+	for j := len(c.windows) - 1; j >= 0; j-- {
+		r := &c.windows[j]
+		if r.lw == r.hw {
+			hit := words[r.lw] & r.lo
+			if hit == r.lo {
+				return true
+			}
+			if hit == 0 && j > 0 {
+				// Every row above j needs a representative from row j.
+				return false
+			}
+			continue
+		}
+		if r.full(words) {
 			return true
 		}
-		if j > 0 && !wordsRangeAny(words, lo, hi) {
-			// Every row above j needs a representative from row j.
+		if j > 0 && !r.any(words) {
 			return false
 		}
 	}
 	return false
 }
 
-// QuorumMasks implements quorum.MaskSystem: for every row j, the full row
-// mask ORed with every choice of one representative bit from each row
-// below. It shares the feasibility panic of Quorums.
-func (c *CW) QuorumMasks() []uint64 {
-	maskGuard("CW", c.n)
-	k := len(c.widths)
-	var out []uint64
-	for j := 0; j < k; j++ {
-		cnt := 1
-		for i := j + 1; i < k; i++ {
-			cnt *= c.widths[i]
-			if cnt > 1<<20 {
-				panic(fmt.Sprintf("systems: CW.QuorumMasks infeasible for %s", c.name))
-			}
-		}
-		out = c.appendRepMasks(out, c.rowMasks[j], j+1)
+// full reports whether every bit of a multi-word window is set.
+func (r *rowWindow) full(words []uint64) bool {
+	if words[r.lw]&r.lo != r.lo || words[r.hw]&r.hi != r.hi {
+		return false
 	}
-	return out
+	for _, w := range words[r.lw+1 : r.hw] {
+		if w != ^uint64(0) {
+			return false
+		}
+	}
+	return true
 }
 
-// appendRepMasks extends base with every choice of one representative bit
-// from each row i >= row, appending completed quorum masks to out.
-func (c *CW) appendRepMasks(out []uint64, base uint64, row int) []uint64 {
-	if row == len(c.widths) {
-		return append(out, base)
+// any reports whether some bit of a multi-word window is set.
+func (r *rowWindow) any(words []uint64) bool {
+	if words[r.lw]&r.lo != 0 || words[r.hw]&r.hi != 0 {
+		return true
 	}
-	start, end := c.RowRange(row)
-	for e := start; e < end; e++ {
-		out = c.appendRepMasks(out, base|bitset.Bit(e), row+1)
+	for _, w := range words[r.lw+1 : r.hw] {
+		if w != 0 {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 // FindQuorumWithin implements quorum.Finder.

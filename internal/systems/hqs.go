@@ -113,30 +113,6 @@ func (q *HQS) enumerate(start, size int) []*bitset.Set {
 	return out
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the 2-of-3 gate
-// recursion evaluated directly on mask bits.
-func (q *HQS) ContainsQuorumMask(mask uint64) bool {
-	maskGuard("HQS", q.n)
-	return q.evalMask(0, q.n, mask)
-}
-
-func (q *HQS) evalMask(start, size int, mask uint64) bool {
-	if size == 1 {
-		return mask>>uint(start)&1 != 0
-	}
-	third := size / 3
-	cnt := 0
-	for i := 0; i < 3; i++ {
-		if q.evalMask(start+i*third, third, mask) {
-			cnt++
-			if cnt == 2 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ContainsQuorumWords implements quorum.WideMaskSystem: the 2-of-3 gate
 // recursion over leaf ranges with word-bit tests, valid at every height
 // the universe bound admits.
@@ -159,38 +135,6 @@ func (q *HQS) evalWords(start, size int, words []uint64) bool {
 		}
 	}
 	return false
-}
-
-// QuorumMasks implements quorum.MaskSystem by recursive minterm
-// enumeration over word masks. Like Quorums it panics for heights above 3.
-func (q *HQS) QuorumMasks() []uint64 {
-	maskGuard("HQS", q.n)
-	if q.h > 3 {
-		panic(fmt.Sprintf("systems: HQS.QuorumMasks infeasible for height %d", q.h))
-	}
-	return q.enumerateMasks(0, q.n)
-}
-
-func (q *HQS) enumerateMasks(start, size int) []uint64 {
-	if size == 1 {
-		return []uint64{bitset.Bit(start)}
-	}
-	third := size / 3
-	children := make([][]uint64, 3)
-	for i := 0; i < 3; i++ {
-		children[i] = q.enumerateMasks(start+i*third, third)
-	}
-	var out []uint64
-	for a := 0; a < 3; a++ {
-		for b := a + 1; b < 3; b++ {
-			for _, qa := range children[a] {
-				for _, qb := range children[b] {
-					out = append(out, qa|qb)
-				}
-			}
-		}
-	}
-	return out
 }
 
 // FindQuorumWithin implements quorum.Finder.

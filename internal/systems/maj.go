@@ -82,46 +82,15 @@ func (m *Maj) Quorums() []*bitset.Set {
 	}
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: a single popcount
-// against the threshold.
-func (m *Maj) ContainsQuorumMask(mask uint64) bool {
-	maskGuard("Maj", m.n)
-	return bits.OnesCount64(mask) >= m.Threshold()
-}
-
-// QuorumMasks implements quorum.MaskSystem by enumerating the C(n, t)
-// threshold-size masks in increasing numeric order (Gosper's hack). Like
-// Quorums it panics for n > 25.
-func (m *Maj) QuorumMasks() []uint64 {
-	maskGuard("Maj", m.n)
-	if m.n > 25 {
-		panic(fmt.Sprintf("systems: Maj.QuorumMasks infeasible for n=%d", m.n))
-	}
-	t := m.Threshold()
-	limit := bitset.Pow2(m.n)
-	var out []uint64
-	for q := bitset.LowMask(t); q < limit; {
-		out = append(out, q)
-		// Gosper's hack: the next mask with the same popcount.
-		c := q & -q
-		r := q + c
-		q = (((r ^ q) >> 2) / c) | r
-	}
-	return out
-}
-
-// ContainsQuorumWords implements quorum.WideMaskSystem: a popcount over
-// the words against the threshold, stopping at the word that reaches it.
+// ContainsQuorumWords implements quorum.WideMaskSystem: the popcount of
+// the words against the threshold, summed with no data-dependent exit. A
+// one-word mask is one popcount and one compare, with no loop to keep
+// state across the popcount's fallback call.
 func (m *Maj) ContainsQuorumWords(words []uint64) bool {
-	t := m.Threshold()
-	total := 0
-	for _, w := range words {
-		total += bits.OnesCount64(w)
-		if total >= t {
-			return true
-		}
+	if len(words) == 1 {
+		return bits.OnesCount64(words[0]) >= m.Threshold()
 	}
-	return false
+	return quorum.PopcountWords(words) >= m.Threshold()
 }
 
 // FindQuorumWithin implements quorum.Finder: any Threshold() elements of

@@ -1,7 +1,7 @@
 package systems
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"probequorum/internal/quorum"
@@ -9,7 +9,7 @@ import (
 
 // maskFixtures returns one small instance per construction, each with a
 // universe small enough for exhaustive 2^n enumeration.
-func maskFixtures(t *testing.T) []quorum.MaskSystem {
+func maskFixtures(t *testing.T) []quorum.WideMaskSystem {
 	t.Helper()
 	maj, err := NewMaj(7)
 	if err != nil {
@@ -43,58 +43,84 @@ func maskFixtures(t *testing.T) []quorum.MaskSystem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []quorum.MaskSystem{maj, wheel, cw, tri, tree, hqs, vote, rm}
+	return []quorum.WideMaskSystem{maj, wheel, cw, tri, tree, hqs, vote, rm}
 }
 
-// The native word-level characteristic function must agree with the
-// bitset one on every subset of the universe.
+// The words characteristic function on a one-word slice, and the witness
+// table built from it, must agree with the bitset reference on every
+// subset of the universe.
 func TestContainsQuorumMaskMatchesBitset(t *testing.T) {
 	for _, sys := range maskFixtures(t) {
 		t.Run(sys.Name(), func(t *testing.T) {
 			n := sys.Size()
+			table, err := quorum.BuildWitnessTable(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words := make([]uint64, 1)
 			for mask := uint64(0); mask < 1<<uint(n); mask++ {
-				got := sys.ContainsQuorumMask(mask)
+				words[0] = mask
+				got := sys.ContainsQuorumWords(words)
 				want := sys.ContainsQuorum(quorum.SetOfMask(n, mask))
-				if got != want {
-					t.Fatalf("mask %#b: ContainsQuorumMask=%v, ContainsQuorum=%v", mask, got, want)
+				if got != want || table.Contains(mask) != want {
+					t.Fatalf("mask %#b: ContainsQuorumWords=%v, table=%v, ContainsQuorum=%v", mask, got, table.Contains(mask), want)
 				}
 			}
 		})
 	}
 }
 
-// The native quorum mask enumeration must produce exactly the masks of
-// the bitset enumeration (orders may differ).
+// The quorum enumeration must produce exactly the minimal true points of
+// the witness table, which BuildWitnessTable evaluates from
+// ContainsQuorumWords: a mask is a minimal quorum iff it contains a
+// quorum and dropping any one element leaves none (orders may differ).
 func TestQuorumMasksMatchQuorums(t *testing.T) {
 	for _, sys := range maskFixtures(t) {
 		t.Run(sys.Name(), func(t *testing.T) {
-			got := sys.QuorumMasks()
-			want := quorum.MasksOf(sys.Quorums())
-			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			if len(got) != len(want) {
-				t.Fatalf("QuorumMasks returned %d masks, Quorums %d", len(got), len(want))
+			table, err := quorum.BuildWitnessTable(sys)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("mask %d: got %#b, want %#b", i, got[i], want[i])
+			var minimal []uint64
+			for mask := uint64(0); mask < 1<<uint(sys.Size()); mask++ {
+				if !table.Contains(mask) {
+					continue
 				}
+				isMin := true
+				for m := mask; m != 0 && isMin; m &= m - 1 {
+					isMin = !table.Contains(mask &^ (m & -m))
+				}
+				if isMin {
+					minimal = append(minimal, mask)
+				}
+			}
+			got := quorum.MasksOf(sys.Quorums())
+			slices.Sort(got)
+			if !slices.Equal(got, minimal) {
+				t.Fatalf("Quorums gives %d masks %#b, table minimal points %d masks %#b", len(got), got, len(minimal), minimal)
 			}
 		})
 	}
 }
 
-// The mask path must refuse universes beyond one machine word rather than
-// silently truncate.
+// Packing a set into one word must refuse universes beyond one machine
+// word rather than silently truncate.
 func TestMaskGuardPanics(t *testing.T) {
 	m, err := NewMaj(101)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("ContainsQuorumMask accepted n > 64")
-		}
-	}()
-	m.ContainsQuorumMask(0)
+	for name, pack := range map[string]func(){
+		"MaskOf":   func() { quorum.MaskOf(quorum.SetOfWords(m.Size(), quorum.FullWords(m.Size()))) },
+		"FullMask": func() { quorum.FullMask(m.Size()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted n > 64", name)
+				}
+			}()
+			pack()
+		}()
+	}
 }

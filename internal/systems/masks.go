@@ -1,35 +1,16 @@
 package systems
 
-import (
-	"fmt"
+import "probequorum/internal/quorum"
 
-	"probequorum/internal/quorum"
-)
-
-// Every construction in this package implements quorum.MaskSystem natively:
-// when the universe fits one machine word (n <= quorum.MaskWords), the
-// characteristic function is evaluated directly on a uint64 element mask —
-// popcount thresholds for Maj, weight sums for Wheel and Vote, row-mask
-// word tests for CW, and gate recursions over mask bits for Tree, HQS and
-// RecMaj — with zero allocation and no bitset traffic.
-var (
-	_ quorum.MaskSystem = (*Maj)(nil)
-	_ quorum.MaskSystem = (*Wheel)(nil)
-	_ quorum.MaskSystem = (*CW)(nil)
-	_ quorum.MaskSystem = (*Tree)(nil)
-	_ quorum.MaskSystem = (*HQS)(nil)
-	_ quorum.MaskSystem = (*Vote)(nil)
-	_ quorum.MaskSystem = (*RecMaj)(nil)
-)
-
-// Every construction also implements quorum.WideMaskSystem — the same
-// structural tests evaluated on a []uint64 wide mask — so membership
-// scales to quorum.MaxWideUniverse elements with no enumeration:
-// popcount over words for Maj, hub test plus rim popcount for Wheel,
-// per-row window tests for CW, gate recursions over word bits for Tree,
-// HQS and RecMaj, and a weighted word scan for Vote. For n <= 64 the wide
-// tests agree bit-for-bit with the single-word masks (pinned by the
-// differential tests in widemask_test.go).
+// Every construction implements quorum.WideMaskSystem natively: its
+// characteristic function evaluated on a []uint64 element mask, so
+// membership scales to quorum.MaxWideUniverse elements with no
+// enumeration and a universe of at most 64 elements is a one-word slice.
+// Maj sums word popcounts, Wheel tests the hub bit plus a rim popcount,
+// CW tests each row against its precomputed word window, Tree, HQS and
+// RecMaj run their gate recursions over word bits, and Vote scans the set
+// bits' weights. ContainsQuorum is the bitset reference these forms are
+// pinned to (mask_test.go, widemask_test.go).
 var (
 	_ quorum.WideMaskSystem = (*Maj)(nil)
 	_ quorum.WideMaskSystem = (*Wheel)(nil)
@@ -39,59 +20,3 @@ var (
 	_ quorum.WideMaskSystem = (*Vote)(nil)
 	_ quorum.WideMaskSystem = (*RecMaj)(nil)
 )
-
-// wordsRangeFull reports whether every bit of [lo, hi) is set in the wide
-// mask: the boundary words are tested under partial masks, the interior
-// words against all-ones.
-func wordsRangeFull(words []uint64, lo, hi int) bool {
-	if lo >= hi {
-		return true
-	}
-	lw, hw := lo/64, (hi-1)/64
-	loMask := ^uint64(0) << (uint(lo) % 64)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)%64)
-	if lw == hw {
-		m := loMask & hiMask
-		return words[lw]&m == m
-	}
-	if words[lw]&loMask != loMask {
-		return false
-	}
-	for i := lw + 1; i < hw; i++ {
-		if words[i] != ^uint64(0) {
-			return false
-		}
-	}
-	return words[hw]&hiMask == hiMask
-}
-
-// wordsRangeAny reports whether any bit of [lo, hi) is set in the wide
-// mask.
-func wordsRangeAny(words []uint64, lo, hi int) bool {
-	if lo >= hi {
-		return false
-	}
-	lw, hw := lo/64, (hi-1)/64
-	loMask := ^uint64(0) << (uint(lo) % 64)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)%64)
-	if lw == hw {
-		return words[lw]&loMask&hiMask != 0
-	}
-	if words[lw]&loMask != 0 {
-		return true
-	}
-	for i := lw + 1; i < hw; i++ {
-		if words[i] != 0 {
-			return true
-		}
-	}
-	return words[hw]&hiMask != 0
-}
-
-// maskGuard panics when the universe does not fit one machine word; the
-// mask methods are defined only for n <= quorum.MaskWords.
-func maskGuard(name string, n int) {
-	if n > quorum.MaskWords {
-		panic(fmt.Sprintf("systems: %s mask path requires n <= %d, got %d", name, quorum.MaskWords, n))
-	}
-}

@@ -185,30 +185,6 @@ func (r *RecMaj) crossProduct(children [][]*bitset.Set, chosen []int, i int, acc
 	}
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the m-ary majority
-// gate recursion evaluated directly on mask bits.
-func (r *RecMaj) ContainsQuorumMask(mask uint64) bool {
-	maskGuard("RecMaj", r.n)
-	return r.evalMask(0, r.n, mask)
-}
-
-func (r *RecMaj) evalMask(start, size int, mask uint64) bool {
-	if size == 1 {
-		return mask>>uint(start)&1 != 0
-	}
-	sub := size / r.m
-	cnt := 0
-	for i := 0; i < r.m; i++ {
-		if r.evalMask(start+i*sub, sub, mask) {
-			cnt++
-			if cnt == r.GateThreshold() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ContainsQuorumWords implements quorum.WideMaskSystem: the m-ary
 // majority gate recursion over leaf ranges with word-bit tests.
 func (r *RecMaj) ContainsQuorumWords(words []uint64) bool {
@@ -230,13 +206,6 @@ func (r *RecMaj) evalWords(start, size int, words []uint64) bool {
 		}
 	}
 	return false
-}
-
-// QuorumMasks implements quorum.MaskSystem via the minterm enumeration of
-// Quorums, sharing its feasibility panic.
-func (r *RecMaj) QuorumMasks() []uint64 {
-	maskGuard("RecMaj", r.n)
-	return quorum.MasksOf(r.Quorums())
 }
 
 // FindQuorumWithin implements quorum.Finder.

@@ -114,25 +114,6 @@ func (t *Tree) enumerate(v int) []*bitset.Set {
 	return out
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the gate recursion of
-// ContainsQuorum evaluated directly on mask bits.
-func (t *Tree) ContainsQuorumMask(mask uint64) bool {
-	maskGuard("Tree", t.n)
-	return t.liveMask(0, mask)
-}
-
-func (t *Tree) liveMask(v int, mask uint64) bool {
-	if t.IsLeaf(v) {
-		return mask>>uint(v)&1 != 0
-	}
-	l := t.liveMask(t.Left(v), mask)
-	r := t.liveMask(t.Right(v), mask)
-	if l && r {
-		return true
-	}
-	return mask>>uint(v)&1 != 0 && (l || r)
-}
-
 // ContainsQuorumWords implements quorum.WideMaskSystem: the gate
 // recursion descending over subtree ranges with word-bit tests, so the
 // tree coterie evaluates at any height the universe bound admits.
@@ -150,38 +131,6 @@ func (t *Tree) liveWords(v int, words []uint64) bool {
 		return true
 	}
 	return quorum.WordBit(words, v) && (l || r)
-}
-
-// QuorumMasks implements quorum.MaskSystem by recursive minterm
-// enumeration over word masks. Like Quorums it panics for heights above 3.
-func (t *Tree) QuorumMasks() []uint64 {
-	maskGuard("Tree", t.n)
-	if t.h > 3 {
-		panic(fmt.Sprintf("systems: Tree.QuorumMasks infeasible for height %d", t.h))
-	}
-	return t.enumerateMasks(0)
-}
-
-func (t *Tree) enumerateMasks(v int) []uint64 {
-	if t.IsLeaf(v) {
-		return []uint64{bitset.Bit(v)}
-	}
-	root := bitset.Bit(v)
-	left := t.enumerateMasks(t.Left(v))
-	right := t.enumerateMasks(t.Right(v))
-	out := make([]uint64, 0, len(left)+len(right)+len(left)*len(right))
-	for _, q := range left {
-		out = append(out, q|root)
-	}
-	for _, q := range right {
-		out = append(out, q|root)
-	}
-	for _, ql := range left {
-		for _, qr := range right {
-			out = append(out, ql|qr)
-		}
-	}
-	return out
 }
 
 // FindQuorumWithin implements quorum.Finder, returning a smallest quorum

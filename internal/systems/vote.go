@@ -127,22 +127,6 @@ func (v *Vote) Quorums() []*bitset.Set {
 	return out
 }
 
-// MaskWeight returns the total weight of the mask's elements.
-func (v *Vote) MaskWeight(mask uint64) int {
-	total := 0
-	for m := mask; m != 0; m &= m - 1 {
-		total += v.weights[bits.TrailingZeros64(m)]
-	}
-	return total
-}
-
-// ContainsQuorumMask implements quorum.MaskSystem: a weight sum over the
-// set bits against the majority threshold.
-func (v *Vote) ContainsQuorumMask(mask uint64) bool {
-	maskGuard("Vote", len(v.weights))
-	return v.MaskWeight(mask) >= v.Threshold()
-}
-
 // ContainsQuorumWords implements quorum.WideMaskSystem: a weighted scan
 // over the set bits of every word, stopping at the bit that reaches the
 // majority threshold.
@@ -159,13 +143,6 @@ func (v *Vote) ContainsQuorumWords(words []uint64) bool {
 		}
 	}
 	return false
-}
-
-// QuorumMasks implements quorum.MaskSystem: the minimal majority-weight
-// sets as word masks, by the same pruned depth-first search as Quorums.
-func (v *Vote) QuorumMasks() []uint64 {
-	maskGuard("Vote", len(v.weights))
-	return quorum.MasksOf(v.Quorums())
 }
 
 // FindQuorumWithin implements quorum.Finder: greedily take the heaviest

@@ -64,31 +64,6 @@ func (w *Wheel) Quorums() []*bitset.Set {
 	return out
 }
 
-// rimMask returns the word mask of the full rim {1, ..., n-1}.
-func (w *Wheel) rimMask() uint64 {
-	return quorum.FullMask(w.n) &^ 1
-}
-
-// ContainsQuorumMask implements quorum.MaskSystem via weight-sum word
-// tests: hub plus any rim bit, or the entire rim.
-func (w *Wheel) ContainsQuorumMask(mask uint64) bool {
-	maskGuard("Wheel", w.n)
-	if mask&1 != 0 {
-		return mask&^1 != 0 // hub plus any rim element
-	}
-	return mask == w.rimMask() // full rim
-}
-
-// QuorumMasks implements quorum.MaskSystem.
-func (w *Wheel) QuorumMasks() []uint64 {
-	maskGuard("Wheel", w.n)
-	out := make([]uint64, 0, w.n)
-	for r := 1; r < w.n; r++ {
-		out = append(out, 1|bitset.Bit(r))
-	}
-	return append(out, w.rimMask())
-}
-
 // ContainsQuorumWords implements quorum.WideMaskSystem: the hub bit plus
 // any rim bit, or a full-rim popcount.
 func (w *Wheel) ContainsQuorumWords(words []uint64) bool {

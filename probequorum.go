@@ -50,14 +50,11 @@ import (
 type (
 	// System is a quorum system over the universe {0, ..., Size()-1}.
 	System = quorum.System
-	// MaskSystem is the word-level fast path of a system whose universe
-	// fits one uint64: superset tests against precomputed quorum masks
-	// with zero allocation. All built-in constructions implement it.
-	MaskSystem = quorum.MaskSystem
-	// WideMaskSystem is the wide-universe mask capability: the
-	// characteristic function evaluated on a []uint64 wide mask, scaling
-	// every hot path to universes of up to 4096 elements. All built-in
-	// constructions implement it natively at every size.
+	// WideMaskSystem is the fast membership capability: the
+	// characteristic function evaluated on a []uint64 word mask (one word
+	// for universes of up to 64 elements), scaling every hot path to
+	// universes of up to 4096 elements. All built-in constructions
+	// implement it natively at every size.
 	WideMaskSystem = quorum.WideMaskSystem
 	// BoundError is the typed error of every engine bound: it names the
 	// operation, the bound, the requested size and — when raised through
@@ -229,19 +226,11 @@ func Compose(outer System, inner []System) (System, error) {
 	return quorum.NewComposite(outer, inner)
 }
 
-// AsMaskSystem returns a word-level view of the system: the system itself
-// when it implements MaskSystem natively, or a cached-enumeration adapter
-// otherwise. It fails with a BoundError for universes above 64 elements
-// (use AsWideMaskSystem there) and with a BudgetError when adaptation
-// would enumerate more quorums than quorum.EnumerationBudget.
-func AsMaskSystem(sys System) (MaskSystem, error) { return quorum.Masked(sys) }
-
 // AsWideMaskSystem returns a wide word-level view of the system: the
 // system itself when it implements WideMaskSystem natively (every
-// built-in construction, at every size), a one-word bridge for plain
-// MaskSystems, or a cached-enumeration adapter under the
-// quorum.EnumerationBudget guard. It fails with a BoundError above 4096
-// elements.
+// built-in construction, at every size), or a cached-enumeration adapter
+// under the quorum.EnumerationBudget guard. It fails with a BoundError
+// above 4096 elements.
 func AsWideMaskSystem(sys System) (WideMaskSystem, error) { return quorum.WideMasked(sys) }
 
 // MaskOfSet packs a set into a word mask (universes of at most 64
