@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"probequorum"
@@ -465,5 +466,96 @@ func TestEvalStatsGoldenShape(t *testing.T) {
 	}
 	if decoded.Builds["pc"] != 1 || decoded.Hits["memo"] != 1 {
 		t.Errorf("EvalStats did not round-trip: %+v", decoded)
+	}
+}
+
+// TestStoreServesEveryKindWithoutCompute pins the on-disk key schema a
+// warm start across versions depends on: one record per persisted
+// artifact kind, written directly through the store API — table, pc and
+// resilience keyed by the canonical spec, ppc by store.ParamKey and
+// strategy by store.OptionsKey — must serve a fresh session
+// bit-identically with no build and one store hit per kind. (availpoly
+// records never serve a spec'd system: every registered construction
+// answers availability in closed form.)
+func TestStoreServesEveryKindWithoutCompute(t *testing.T) {
+	const p = 0.3
+	ctx := context.Background()
+	opts := probequorum.StrategyOptions{Workload: probequorum.Workload{ReadFraction: 0.5}}
+	sys := probequorum.MustParse("grid:3x3")
+	specStr, ok := probequorum.SpecOf(sys)
+	if !ok {
+		t.Fatal("grid:3x3 has no canonical spec")
+	}
+
+	// The answers, computed by a store-free session.
+	ref := probequorum.NewEvaluator()
+	table, err := ref.WitnessTableCtx(ctx, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := ref.ProbeComplexityCtx(ctx, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppc, err := ref.AverageProbeComplexityCtx(ctx, sys, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ref.ResilienceCtx(ctx, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat, err := ref.StrategyCtx(ctx, sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := probequorum.OpenArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, err := range []error{
+		st.PutTable("table", specStr, table),
+		st.PutInt("pc", specStr, pc),
+		st.PutFloat("ppc", store.ParamKey(specStr, p), ppc),
+		st.PutInt("resilience", specStr, res),
+		st.PutStrategy("strategy", store.OptionsKey(specStr, opts.Key()), strat),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	eval := probequorum.NewEvaluator(probequorum.WithStore(st))
+	gotTable, err := eval.WitnessTableCtx(ctx, sys)
+	if err != nil || !slices.Equal(gotTable.Words(), table.Words()) {
+		t.Errorf("table = %v, %v; want the stored table", gotTable, err)
+	}
+	if v, err := eval.ProbeComplexityCtx(ctx, sys); err != nil || v != pc {
+		t.Errorf("pc = %d, %v; want %d", v, err, pc)
+	}
+	if v, err := eval.AverageProbeComplexityCtx(ctx, sys, p); err != nil || math.Float64bits(v) != math.Float64bits(ppc) {
+		t.Errorf("ppc = %v, %v; want %v", v, err, ppc)
+	}
+	if v, err := eval.ResilienceCtx(ctx, sys); err != nil || v != res {
+		t.Errorf("resilience = %d, %v; want %d", v, err, res)
+	}
+	gotStrat, err := eval.StrategyCtx(ctx, sys, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, probs := range [][2][]float64{{gotStrat.ReadProbs(), strat.ReadProbs()}, {gotStrat.WriteProbs(), strat.WriteProbs()}} {
+		if !slices.EqualFunc(probs[0], probs[1], func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Errorf("strategy probabilities = %v, want %v", probs[0], probs[1])
+		}
+	}
+
+	stats := eval.Stats()
+	if len(stats.Builds) != 0 {
+		t.Errorf("the stored session ran builds: %v", stats.Builds)
+	}
+	if stats.Hits["store"] != 5 || stats.Misses["store"] != 0 {
+		t.Errorf("store hits = %d, misses = %d; want 5 and 0", stats.Hits["store"], stats.Misses["store"])
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -34,12 +33,11 @@ import (
 const evaluatorMaxSystems = 64
 
 // Evaluator is a measurement session: it memoizes per-system derived
-// artifacts — the wide mask view, the dense WitnessTable and the
-// availability failure-count polynomial — so repeated measures on the
+// artifacts — the wide mask view, the dense WitnessTable, the
+// availability failure-count polynomial, the exact PC and PPC_p values,
+// optimized strategies and resilience — so repeated measures on the
 // same system hit a cache instead of recomputing, which is the serving
 // pattern the library is grown for.
-// Exact measure results (ProbeComplexity, AverageProbeComplexity) are
-// memoized as well.
 //
 // An Evaluator is safe for concurrent use. Systems are cached by
 // interface identity, so callers should reuse the same System value
@@ -115,43 +113,21 @@ func (e *Evaluator) scenario(q Query) (*des.Scenario, error) {
 	return sc, nil
 }
 
-// evalEntry is the per-system cache. Its mutex guards the cached fields
-// and the in-flight build registry only — it is never held while an
-// expensive artifact builds; concurrent cold queries coalesce onto one
-// detached single-flight build instead (see singleflight).
+// evalEntry is the per-system cache. Its mutex guards the memo and the
+// in-flight build registry only — it is never held while an expensive
+// artifact builds; concurrent cold queries coalesce onto one detached
+// single-flight build instead (see artifact).
 type evalEntry struct {
 	mu sync.Mutex
 
-	// builds registers the in-flight single-flight artifact builds by
-	// key, so concurrent cold queries share one build per artifact.
-	builds map[string]*buildCall
+	// builds registers the in-flight single-flight artifact builds and
+	// memo the completed ones, both by artifact key.
+	builds map[artifactKey]*buildCall
+	memo   map[artifactKey]outcome
 
 	wide    WideMaskSystem
 	wideErr error
 	wideOK  bool
-
-	table    *quorum.WitnessTable
-	tableErr error
-	tableOK  bool
-
-	// failCounts[g] is the number of g-element green sets containing no
-	// quorum: the availability polynomial F_p = sum_g failCounts[g] q^g
-	// p^(n-g).
-	failCounts []float64
-
-	pc    int
-	pcErr error
-	pcOK  bool
-
-	ppc map[float64]float64
-
-	// strategies memoizes optimized strategies by options key (see
-	// Evaluator.StrategyCtx); successes only.
-	strategies map[string]*rw.Strategy
-
-	resilience int
-	resErr     error
-	resOK      bool
 }
 
 // EvaluatorOption configures an Evaluator.
@@ -236,7 +212,9 @@ func (e *Evaluator) WitnessTable(sys System) (*quorum.WitnessTable, error) {
 // single-flighted: any number of concurrent cold callers share exactly
 // one build, and a caller whose ctx dies leaves the build to the rest.
 func (e *Evaluator) WitnessTableCtx(ctx context.Context, sys System) (*quorum.WitnessTable, error) {
-	return e.entryTable(ctx, e.entry(sys), sys)
+	return artifact(ctx, e, sys, artifactKey{kind: artifactTable}, func(ctx context.Context) (*quorum.WitnessTable, error) {
+		return quorum.BuildWitnessTableCtx(ctx, sys)
+	})
 }
 
 // isCtxErr distinguishes cancellation from permanent failures: the cache
@@ -244,138 +222,6 @@ func (e *Evaluator) WitnessTableCtx(ctx context.Context, sys System) (*quorum.Wi
 // for the next caller.
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// storeSpec returns the canonical spec string keying a system's
-// persistent records, or "" when the store tier does not apply: no
-// store configured, or no canonical spec — ad-hoc systems are never
-// persisted, because the key must be derivable identically in every
-// process that shares the store directory.
-func (e *Evaluator) storeSpec(sys System) string {
-	if e.artifacts == nil {
-		return ""
-	}
-	sp, ok := spec.Of(sys)
-	if !ok {
-		return ""
-	}
-	return sp
-}
-
-// The tier constructors below adapt one artifact kind to the persistent
-// store for one single-flight call; a "" key (tier not applicable)
-// yields nil, which singleflight treats as "no persistent tier". Put
-// errors are deliberately dropped: the store is a cache, its own stats
-// count write failures, and the computed value is already published.
-
-func (e *Evaluator) tableTier(key string) *storeTier {
-	if key == "" {
-		return nil
-	}
-	return &storeTier{
-		fetch: func() (any, bool) {
-			t, ok := e.artifacts.GetTable(artifactTable, key)
-			return t, ok
-		},
-		persist: func(val any) {
-			if t, ok := val.(*quorum.WitnessTable); ok && t != nil {
-				_ = e.artifacts.PutTable(artifactTable, key, t)
-			}
-		},
-	}
-}
-
-func (e *Evaluator) intTier(kind, key string) *storeTier {
-	if key == "" {
-		return nil
-	}
-	return &storeTier{
-		fetch: func() (any, bool) {
-			v, ok := e.artifacts.GetInt(kind, key)
-			return v, ok
-		},
-		persist: func(val any) {
-			if v, ok := val.(int); ok {
-				_ = e.artifacts.PutInt(kind, key, v)
-			}
-		},
-	}
-}
-
-func (e *Evaluator) floatTier(kind, key string) *storeTier {
-	if key == "" {
-		return nil
-	}
-	return &storeTier{
-		fetch: func() (any, bool) {
-			v, ok := e.artifacts.GetFloat(kind, key)
-			return v, ok
-		},
-		persist: func(val any) {
-			if v, ok := val.(float64); ok {
-				_ = e.artifacts.PutFloat(kind, key, v)
-			}
-		},
-	}
-}
-
-func (e *Evaluator) strategyTier(key string) *storeTier {
-	if key == "" {
-		return nil
-	}
-	return &storeTier{
-		fetch: func() (any, bool) {
-			s, ok := e.artifacts.GetStrategy(artifactStrategy, key)
-			return s, ok
-		},
-		persist: func(val any) {
-			if s, ok := val.(*rw.Strategy); ok && s != nil {
-				_ = e.artifacts.PutStrategy(artifactStrategy, key, s)
-			}
-		},
-	}
-}
-
-func (e *Evaluator) floatsTier(kind, key string) *storeTier {
-	if key == "" {
-		return nil
-	}
-	return &storeTier{
-		fetch: func() (any, bool) {
-			v, ok := e.artifacts.GetFloats(kind, key)
-			return v, ok
-		},
-		persist: func(val any) {
-			if v, ok := val.([]float64); ok {
-				_ = e.artifacts.PutFloats(kind, key, v)
-			}
-		},
-	}
-}
-
-// entryTable is the single-flight witness-table path shared by every
-// measure that needs the table.
-func (e *Evaluator) entryTable(ctx context.Context, ent *evalEntry, sys System) (*quorum.WitnessTable, error) {
-	v, err := e.singleflight(ctx, ent, artifactTable, artifactTable,
-		func() (any, error, bool) {
-			if ent.tableOK {
-				return ent.table, ent.tableErr, true
-			}
-			return nil, nil, false
-		},
-		func(v any, err error) {
-			ent.table, _ = v.(*quorum.WitnessTable)
-			ent.tableErr, ent.tableOK = err, true
-		},
-		e.tableTier(e.storeSpec(sys)),
-		func(bctx context.Context) (any, error) {
-			return quorum.BuildWitnessTableCtx(bctx, sys)
-		})
-	if err != nil {
-		return nil, err
-	}
-	table, _ := v.(*quorum.WitnessTable)
-	return table, nil
 }
 
 // Availability returns F_p(S). Systems with the ExactAvailability
@@ -403,29 +249,16 @@ func (e *Evaluator) AvailabilityCtx(ctx context.Context, sys System, p float64) 
 	if ea, ok := sys.(ExactAvailability); ok {
 		return ea.AvailabilityIID(p), nil
 	}
-	ent := e.entry(sys)
-	v, err := e.singleflight(ctx, ent, artifactAvailPoly, artifactAvailPoly,
-		func() (any, error, bool) {
-			if ent.failCounts != nil {
-				return ent.failCounts, nil, true
-			}
-			return nil, nil, false
-		},
-		func(v any, err error) {
-			// Permanent failures (the table bound) are cheap to rediscover
-			// through the cached table entry, so only successes are kept.
-			if err == nil {
-				ent.failCounts, _ = v.([]float64)
-			}
-		},
-		e.floatsTier(artifactAvailPoly, e.storeSpec(sys)),
-		func(bctx context.Context) (any, error) {
-			table, err := e.entryTable(bctx, ent, sys)
-			if err != nil {
-				return nil, err
-			}
-			return failCountsOf(bctx, table)
-		})
+	// counts[g] is the number of g-element green sets containing no
+	// quorum: the availability polynomial F_p = sum_g counts[g] q^g
+	// p^(n-g).
+	counts, err := artifact(ctx, e, sys, artifactKey{kind: artifactAvailPoly}, func(ctx context.Context) ([]float64, error) {
+		table, err := e.WitnessTableCtx(ctx, sys)
+		if err != nil {
+			return nil, err
+		}
+		return failCountsOf(ctx, table)
+	})
 	if err != nil {
 		if isCtxErr(err) {
 			return 0, err
@@ -435,7 +268,6 @@ func (e *Evaluator) AvailabilityCtx(ctx context.Context, sys System, p float64) 
 		// bound error instead of the enumeration panic of old.
 		return 0, e.boundify(fmt.Errorf("exact availability of %s needs a witness table: %w", sys.Name(), err), sys)
 	}
-	counts, _ := v.([]float64)
 	n := sys.Size()
 	q := 1 - p
 	total := 0.0
@@ -491,31 +323,13 @@ func (e *Evaluator) ProbeComplexity(sys System) (int, error) {
 // concurrent cold queries for PC(S) run one build, and a cancelled
 // leader hands the build to the waiting followers.
 func (e *Evaluator) ProbeComplexityCtx(ctx context.Context, sys System) (int, error) {
-	ent := e.entry(sys)
-	v, err := e.singleflight(ctx, ent, artifactPC, artifactPC,
-		func() (any, error, bool) {
-			if ent.pcOK {
-				return ent.pc, ent.pcErr, true
-			}
-			return nil, nil, false
-		},
-		func(v any, err error) {
-			ent.pc, _ = v.(int)
-			ent.pcErr, ent.pcOK = err, true
-		},
-		e.intTier(artifactPC, e.storeSpec(sys)),
-		func(bctx context.Context) (any, error) {
-			table, err := e.entryTable(bctx, ent, sys)
-			if err != nil {
-				return nil, err
-			}
-			return strategy.OptimalPCWithTableCtx(bctx, sys, table)
-		})
-	if err != nil {
-		return 0, err
-	}
-	pc, _ := v.(int)
-	return pc, nil
+	return artifact(ctx, e, sys, artifactKey{kind: artifactPC}, func(ctx context.Context) (int, error) {
+		table, err := e.WitnessTableCtx(ctx, sys)
+		if err != nil {
+			return 0, err
+		}
+		return strategy.OptimalPCWithTableCtx(ctx, sys, table)
+	})
 }
 
 // AverageProbeComplexity returns the exact probabilistic probe complexity
@@ -529,36 +343,13 @@ func (e *Evaluator) AverageProbeComplexity(sys System, p float64) (float64, erro
 // cancellation of the expectimax DP; an aborted solve returns ctx.Err()
 // and caches nothing.
 func (e *Evaluator) AverageProbeComplexityCtx(ctx context.Context, sys System, p float64) (float64, error) {
-	ent := e.entry(sys)
-	v, err := e.singleflight(ctx, ent, artifactPPC, artifactPPC+":"+strconv.FormatFloat(p, 'g', -1, 64),
-		func() (any, error, bool) {
-			if v, ok := ent.ppc[p]; ok {
-				return v, nil, true
-			}
-			return nil, nil, false
-		},
-		func(v any, err error) {
-			if err != nil {
-				return
-			}
-			if ent.ppc == nil {
-				ent.ppc = map[float64]float64{}
-			}
-			ent.ppc[p], _ = v.(float64)
-		},
-		e.floatTier(artifactPPC, store.ParamKeyIf(e.storeSpec(sys), p)),
-		func(bctx context.Context) (any, error) {
-			table, err := e.entryTable(bctx, ent, sys)
-			if err != nil {
-				return nil, err
-			}
-			return strategy.OptimalPPCWithTableCtx(bctx, sys, table, p)
-		})
-	if err != nil {
-		return 0, err
-	}
-	f, _ := v.(float64)
-	return f, nil
+	return artifact(ctx, e, sys, artifactKey{kind: artifactPPC, p: p}, func(ctx context.Context) (float64, error) {
+		table, err := e.WitnessTableCtx(ctx, sys)
+		if err != nil {
+			return 0, err
+		}
+		return strategy.OptimalPPCWithTableCtx(ctx, sys, table, p)
+	})
 }
 
 // OptimalStrategyTree materializes a worst-case-optimal probe strategy
@@ -570,7 +361,7 @@ func (e *Evaluator) OptimalStrategyTree(sys System) (*StrategyNode, error) {
 // OptimalStrategyTreeCtx is OptimalStrategyTree honoring cancellation
 // across the solve and the tree descent.
 func (e *Evaluator) OptimalStrategyTreeCtx(ctx context.Context, sys System) (*StrategyNode, error) {
-	table, err := e.entryTable(ctx, e.entry(sys), sys)
+	table, err := e.WitnessTableCtx(ctx, sys)
 	if err != nil {
 		return nil, err
 	}

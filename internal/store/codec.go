@@ -23,27 +23,10 @@ func ParamKey(spec string, p float64) string {
 	return spec + "|p=" + strconv.FormatFloat(p, 'g', -1, 64)
 }
 
-// ParamKeyIf is ParamKey propagating an empty spec — the evaluator's
-// "persistent tier not applicable" marker — unchanged.
-func ParamKeyIf(spec string, p float64) string {
-	if spec == "" {
-		return ""
-	}
-	return ParamKey(spec, p)
-}
-
 // OptionsKey keys a per-workload artifact: spec|<options key>, the
 // schema of the "strategy" kind (optsKey is rw.Options.Key()).
 func OptionsKey(spec, optsKey string) string {
 	return spec + "|" + optsKey
-}
-
-// OptionsKeyIf is OptionsKey propagating an empty spec unchanged.
-func OptionsKeyIf(spec, optsKey string) string {
-	if spec == "" {
-		return ""
-	}
-	return OptionsKey(spec, optsKey)
 }
 
 // PutInt persists one integer artifact (the "pc" and "resilience"

@@ -5,7 +5,6 @@ import (
 
 	"probequorum/internal/quorum"
 	"probequorum/internal/rw"
-	"probequorum/internal/store"
 )
 
 // Read/write planner abstractions, re-exported from internal/rw. A
@@ -124,36 +123,9 @@ func (e *Evaluator) OptimalStrategy(sys System, opts StrategyOptions) (*Strategy
 // options) share one solve, and a cancelled leader hands it to the
 // surviving followers. Cancellation caches nothing.
 func (e *Evaluator) StrategyCtx(ctx context.Context, sys System, opts StrategyOptions) (*Strategy, error) {
-	ent := e.entry(sys)
-	key := artifactStrategy + ":" + opts.Key()
-	v, err := e.singleflight(ctx, ent, artifactStrategy, key,
-		func() (any, error, bool) {
-			if s, ok := ent.strategies[key]; ok {
-				return s, nil, true
-			}
-			return nil, nil, false
-		},
-		func(v any, err error) {
-			// Failures (budget or bound errors) are cheap to rediscover
-			// relative to holding them forever under eviction pressure, so
-			// only successes are kept.
-			if err != nil {
-				return
-			}
-			if ent.strategies == nil {
-				ent.strategies = map[string]*rw.Strategy{}
-			}
-			ent.strategies[key], _ = v.(*rw.Strategy)
-		},
-		e.strategyTier(store.OptionsKeyIf(e.storeSpec(sys), opts.Key())),
-		func(bctx context.Context) (any, error) {
-			return rw.OptimizeCtx(bctx, sys, opts)
-		})
-	if err != nil {
-		return nil, err
-	}
-	s, _ := v.(*rw.Strategy)
-	return s, nil
+	return artifact(ctx, e, sys, artifactKey{kind: artifactStrategy, opts: opts.Key()}, func(ctx context.Context) (*Strategy, error) {
+		return rw.OptimizeCtx(ctx, sys, opts)
+	})
 }
 
 // ResilienceCtx returns the crash resilience of the system's read/write
@@ -162,25 +134,7 @@ func (e *Evaluator) StrategyCtx(ctx context.Context, sys System, opts StrategyOp
 // universe size; the generic witness-table scan is bounded by
 // quorum.MaxTableUniverse.
 func (e *Evaluator) ResilienceCtx(ctx context.Context, sys System) (int, error) {
-	ent := e.entry(sys)
-	v, err := e.singleflight(ctx, ent, artifactResilience, artifactResilience,
-		func() (any, error, bool) {
-			if ent.resOK {
-				return ent.resilience, ent.resErr, true
-			}
-			return nil, nil, false
-		},
-		func(v any, err error) {
-			ent.resilience, _ = v.(int)
-			ent.resErr, ent.resOK = err, true
-		},
-		e.intTier(artifactResilience, e.storeSpec(sys)),
-		func(bctx context.Context) (any, error) {
-			return rw.Resilience(bctx, sys)
-		})
-	if err != nil {
-		return 0, err
-	}
-	r, _ := v.(int)
-	return r, nil
+	return artifact(ctx, e, sys, artifactKey{kind: artifactResilience}, func(ctx context.Context) (int, error) {
+		return rw.Resilience(ctx, sys)
+	})
 }

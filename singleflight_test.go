@@ -247,3 +247,87 @@ func TestPanicIsolation(t *testing.T) {
 		t.Fatalf("healthy query after panics: res=%+v err=%v", res, err)
 	}
 }
+
+// TestSingleFlightMemoHitAllocs pins the cost of a warm artifact read: a
+// memo hit looks the artifact up by a comparable key and derives no
+// store key, so it allocates at most once (the build closure its caller
+// hands over), with or without a store attached. A strategy hit also
+// renders its options key, which allocates on its own.
+func TestSingleFlightMemoHitAllocs(t *testing.T) {
+	ctx := context.Background()
+	opts := probequorum.StrategyOptions{Workload: probequorum.Workload{ReadFraction: 0.5}}
+	for _, withStore := range []bool{false, true} {
+		var evalOpts []probequorum.EvaluatorOption
+		if withStore {
+			st, err := probequorum.OpenArtifactStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			evalOpts = append(evalOpts, probequorum.WithStore(st))
+		}
+		eval := probequorum.NewEvaluator(evalOpts...)
+		type hit struct {
+			name string
+			max  float64
+			call func() error
+		}
+		var hits []hit
+		for _, sp := range []string{"wheel:8", "grid:3x3"} {
+			sys := probequorum.MustParse(sp)
+			hits = append(hits,
+				hit{sp + " table", 1, func() error { _, err := eval.WitnessTableCtx(ctx, sys); return err }},
+				hit{sp + " pc", 1, func() error { _, err := eval.ProbeComplexityCtx(ctx, sys); return err }},
+				hit{sp + " ppc", 1, func() error { _, err := eval.AverageProbeComplexityCtx(ctx, sys, 0.3); return err }},
+				hit{sp + " resilience", 1, func() error { _, err := eval.ResilienceCtx(ctx, sys); return err }},
+			)
+		}
+		grid := probequorum.MustParse("grid:3x3")
+		hits = append(hits, hit{"grid:3x3 strategy", 5, func() error { _, err := eval.StrategyCtx(ctx, grid, opts); return err }})
+
+		for _, h := range hits {
+			if err := h.call(); err != nil {
+				t.Fatalf("store=%t: cold %s: %v", withStore, h.name, err)
+			}
+		}
+		builds := totalBuilds(eval)
+		for _, h := range hits {
+			if got := testing.AllocsPerRun(100, func() { _ = h.call() }); got > h.max {
+				t.Errorf("store=%t: a warm %s hit allocates %v times, want <= %v", withStore, h.name, got, h.max)
+			}
+		}
+		if n := totalBuilds(eval); n != builds {
+			t.Errorf("store=%t: warm hits ran %d more builds", withStore, n-builds)
+		}
+	}
+}
+
+// TestSingleFlightPermanentErrorsMemoized pins the memo's error policy:
+// an artifact is a pure function of (system, key), so a permanent error
+// is memoized like a value — the second identical query is a memo hit
+// that answers the same error text without rebuilding.
+func TestSingleFlightPermanentErrorsMemoized(t *testing.T) {
+	ctx := context.Background()
+	for kind, q := range map[string]probequorum.Query{
+		// n = 19 is past the exact DP bound.
+		"ppc": {Spec: "maj:19", Measures: []probequorum.Measure{probequorum.MeasurePPC}, Ps: []float64{0.3}},
+		// No quorum of a 2x3 grid survives five failures.
+		"strategy": {Spec: "grid:2x3", Measures: []probequorum.Measure{probequorum.MeasureLoad}, ReadFractions: []float64{0.5}, F: 5},
+	} {
+		eval := probequorum.NewEvaluator()
+		var texts []string
+		for i := 0; i < 2; i++ {
+			_, err := eval.Do(ctx, q)
+			if err == nil {
+				t.Fatalf("%s query %d succeeded, want a permanent error", kind, i)
+			}
+			texts = append(texts, err.Error())
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: the memoized error reads %q, the built one %q", kind, texts[1], texts[0])
+		}
+		if b := eval.Stats().Builds[kind]; b != 1 {
+			t.Errorf("%s: Builds = %d after two identical failing queries, want 1", kind, b)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"probequorum/internal/des"
 	"probequorum/internal/render"
 	"probequorum/internal/sim"
+	"probequorum/internal/stats"
 )
 
 // Cell is the incremental unit of evaluation: one (query, measure, grid
@@ -389,28 +390,24 @@ func CellSeq(cells []Cell) iter.Seq2[Cell, error] {
 const degradeFallbackTrials = 4096
 
 // memoizedExact reports whether the session memo can already answer the
-// per-p exact measure for free — a memoized PPC point, a derived
-// availability polynomial (one Horner evaluation per p), or a closed
-// form. The peek itself counts nothing; the exact path that follows
-// records the memo hit.
+// per-p exact measure (ppc or availability) with a value for free — a
+// memoized PPC point, a derived availability polynomial (one Horner
+// evaluation per p), or a closed form. A memoized error does not count:
+// the approximate tier may still answer around it. The peek itself
+// counts nothing; the exact path that follows records the memo hit.
 func (e *Evaluator) memoizedExact(sys System, m Measure, p float64) bool {
-	switch m {
-	case MeasurePPC:
-		ent := e.entry(sys)
-		ent.mu.Lock()
-		defer ent.mu.Unlock()
-		_, ok := ent.ppc[p]
-		return ok
-	case MeasureAvailability:
+	key := artifactKey{kind: artifactPPC, p: p}
+	if m == MeasureAvailability {
 		if _, ok := sys.(ExactAvailability); ok {
 			return true
 		}
-		ent := e.entry(sys)
-		ent.mu.Lock()
-		defer ent.mu.Unlock()
-		return ent.failCounts != nil
+		key = artifactKey{kind: artifactAvailPoly}
 	}
-	return false
+	ent := e.entry(sys)
+	ent.mu.Lock()
+	defer ent.mu.Unlock()
+	o, ok := ent.memo[key]
+	return ok && o.err == nil
 }
 
 // approxAnswer consults the approximate-answer tier for one per-p exact
@@ -445,6 +442,58 @@ func (e *Evaluator) approxInsert(specStr string, m Measure, p, v float64) {
 	if e.approx != nil && specStr != "" {
 		e.approx.Insert(specStr, string(m), p, v)
 	}
+}
+
+// exactCell answers one p-independent exact measure (pc, tree,
+// resilience) into c under the query's deadline budget: solve returns
+// the cell value. A missed deadline leaves the degradation note alone —
+// no Monte Carlo stand-in exists for an exact worst-case or
+// combinatorial quantity — and any other failure, a recovered panic
+// included, fails the query with its bound error made actionable. op
+// names the measure in panics and errors.
+func (e *Evaluator) exactCell(exactCtx context.Context, sys System, c Cell, op string, degraded func(error) bool, solve func(context.Context) (float64, error)) (Cell, error) {
+	v, err := guardPanic(exactCtx, op, solve)
+	switch {
+	case err == nil:
+		c.Value = v
+	case degraded(err):
+		c.Degraded = &Degradation{Measure: c.Measure, Reason: DegradeDeadline}
+	default:
+		return c, fmt.Errorf("%s of %s: %w", op, sys.Name(), e.boundify(err, sys))
+	}
+	return c, nil
+}
+
+// pointCell answers one per-p exact measure (ppc, availability) into c:
+// from the approximate tier when the query's tolerance allows (the
+// session memo outranks it), else exactly under the deadline budget —
+// the exact value feeds the approximate tier — and, when the budget
+// runs out, from the seeded Monte Carlo fallback, marked degraded. op
+// names the measure in panics and errors.
+func (e *Evaluator) pointCell(exactCtx context.Context, sys System, c Cell, tol float64, op string, degraded func(error) bool,
+	exact func(context.Context) (float64, error), fallback func() (stats.Summary, error)) (Cell, error) {
+	p := *c.P
+	c.Done = true
+	if note, av, ok := e.approxAnswer(sys, c.Spec, c.Measure, p, tol); ok {
+		c.Value, c.Approx = av, note
+		return c, nil
+	}
+	v, err := guardPanic(exactCtx, op, exact)
+	switch {
+	case err == nil:
+		c.Value = v
+		e.approxInsert(c.Spec, c.Measure, p, v)
+		return c, nil
+	case degraded(err):
+		if s, ferr := fallback(); ferr == nil {
+			c.Value, c.Trials, c.StdErr, c.HalfCI = s.Mean, s.N, s.StdErr, halfCI(s)
+			c.Degraded = &Degradation{Measure: c.Measure, Reason: DegradeDeadline, Estimate: &Estimate{Mean: s.Mean, HalfCI: halfCI(s), Trials: s.N}}
+			return c, nil
+		}
+		// The fallback failed too; report the original budget overrun,
+		// which is the root cause.
+	}
+	return c, fmt.Errorf("%s of %s at p=%v: %w", op, sys.Name(), p, e.boundify(err, sys))
 }
 
 // streamOne evaluates one normalized-on-entry query and hands its cells
@@ -521,51 +570,46 @@ func (e *Evaluator) streamOne(ctx context.Context, idx int, q Query, emit func(C
 		return errStreamStopped
 	}
 
+	exactCellOf := func(m Measure) Cell {
+		return Cell{Query: idx, Spec: specStr, Measure: m, Done: true}
+	}
 	if nq.has(MeasurePC) {
-		pc, err := guardPanic("measure pc", func() (int, error) { return e.ProbeComplexityCtx(exactCtx, sys) })
-		c := Cell{Query: idx, Spec: specStr, Measure: MeasurePC, Done: true}
-		switch {
-		case err == nil:
-			c.Value = float64(pc)
-		case degraded(err):
-			// No Monte Carlo stand-in exists for the worst-case measure:
-			// the note alone marks it missing.
-			c.Degraded = &Degradation{Measure: MeasurePC, Reason: DegradeDeadline}
-		default:
-			return fmt.Errorf("measure pc of %s: %w", sys.Name(), e.boundify(err, sys))
+		c, err := e.exactCell(exactCtx, sys, exactCellOf(MeasurePC), "measure pc", degraded, func(ctx context.Context) (float64, error) {
+			pc, err := e.ProbeComplexityCtx(ctx, sys)
+			return float64(pc), err
+		})
+		if err != nil {
+			return err
 		}
 		if !emit(c) {
 			return errStreamStopped
 		}
 	}
 	if nq.has(MeasureTree) {
-		root, err := guardPanic("measure tree", func() (*StrategyNode, error) { return e.OptimalStrategyTreeCtx(exactCtx, sys) })
-		c := Cell{Query: idx, Spec: specStr, Measure: MeasureTree, Done: true}
-		switch {
-		case err == nil:
-			summary := &TreeSummary{Depth: root.Depth(), Leaves: root.Leaves(), ASCII: render.StrategyTree(root)}
-			c.Value, c.Tree = float64(summary.Depth), summary
-		case degraded(err):
-			c.Degraded = &Degradation{Measure: MeasureTree, Reason: DegradeDeadline}
-		default:
-			return fmt.Errorf("measure tree of %s: %w", sys.Name(), e.boundify(err, sys))
+		var tree *TreeSummary
+		c, err := e.exactCell(exactCtx, sys, exactCellOf(MeasureTree), "measure tree", degraded, func(ctx context.Context) (float64, error) {
+			root, err := e.OptimalStrategyTreeCtx(ctx, sys)
+			if err != nil {
+				return 0, err
+			}
+			tree = &TreeSummary{Depth: root.Depth(), Leaves: root.Leaves(), ASCII: render.StrategyTree(root)}
+			return float64(tree.Depth), nil
+		})
+		if err != nil {
+			return err
 		}
+		c.Tree = tree
 		if !emit(c) {
 			return errStreamStopped
 		}
 	}
 	if nq.has(MeasureResilience) {
-		v, err := guardPanic("measure resilience", func() (int, error) { return e.ResilienceCtx(exactCtx, sys) })
-		c := Cell{Query: idx, Spec: specStr, Measure: MeasureResilience, Done: true}
-		switch {
-		case err == nil:
-			c.Value = float64(v)
-		case degraded(err):
-			// No Monte Carlo stand-in exists for an exact combinatorial
-			// quantity: the note alone marks it missing.
-			c.Degraded = &Degradation{Measure: MeasureResilience, Reason: DegradeDeadline}
-		default:
-			return fmt.Errorf("measure resilience of %s: %w", sys.Name(), e.boundify(err, sys))
+		c, err := e.exactCell(exactCtx, sys, exactCellOf(MeasureResilience), "measure resilience", degraded, func(ctx context.Context) (float64, error) {
+			r, err := e.ResilienceCtx(ctx, sys)
+			return float64(r), err
+		})
+		if err != nil {
+			return err
 		}
 		if !emit(c) {
 			return errStreamStopped
@@ -580,61 +624,33 @@ func (e *Evaluator) streamOne(ctx context.Context, idx int, q Query, emit func(C
 			return Cell{Query: idx, Spec: specStr, Measure: m, P: &p, Point: i}
 		}
 		if nq.has(MeasurePPC) {
-			c := cell(MeasurePPC)
-			if note, av, ok := e.approxAnswer(sys, specStr, MeasurePPC, p, nq.Tolerance); ok {
-				c.Value, c.Done, c.Approx = av, true, note
-			} else {
-				v, err := guardPanic("measure ppc", func() (float64, error) { return e.AverageProbeComplexityCtx(exactCtx, sys, p) })
-				switch {
-				case err == nil:
-					c.Value, c.Done = v, true
-					e.approxInsert(specStr, MeasurePPC, p, v)
-				case degraded(err):
-					s, ferr := e.estimateAdaptiveCtx(ctx, sys, p, degradeFallbackTrials, seed, nil)
-					if ferr != nil {
-						// The fallback failed too; report the original budget
-						// overrun, which is the root cause.
-						return fmt.Errorf("measure ppc of %s at p=%v: %w", sys.Name(), p, e.boundify(err, sys))
-					}
-					c.Done = true
-					c.Value, c.Trials, c.StdErr, c.HalfCI = s.Mean, s.N, s.StdErr, halfCI(s)
-					c.Degraded = &Degradation{Measure: MeasurePPC, Reason: DegradeDeadline, Estimate: &Estimate{Mean: s.Mean, HalfCI: halfCI(s), Trials: s.N}}
-				default:
-					return fmt.Errorf("measure ppc of %s at p=%v: %w", sys.Name(), p, e.boundify(err, sys))
-				}
+			c, err := e.pointCell(exactCtx, sys, cell(MeasurePPC), nq.Tolerance, "measure ppc", degraded,
+				func(ctx context.Context) (float64, error) { return e.AverageProbeComplexityCtx(ctx, sys, p) },
+				func() (stats.Summary, error) {
+					return e.estimateAdaptiveCtx(ctx, sys, p, degradeFallbackTrials, seed, nil)
+				})
+			if err != nil {
+				return err
 			}
 			if !emit(c) {
 				return errStreamStopped
 			}
 		}
 		if nq.has(MeasureAvailability) {
-			c := cell(MeasureAvailability)
-			if note, av, ok := e.approxAnswer(sys, specStr, MeasureAvailability, p, nq.Tolerance); ok {
-				c.Value, c.Done, c.Approx = av, true, note
-			} else {
-				v, err := guardPanic("measure availability", func() (float64, error) { return e.AvailabilityCtx(exactCtx, sys, p) })
-				switch {
-				case err == nil:
-					c.Value, c.Done = v, true
-					e.approxInsert(specStr, MeasureAvailability, p, v)
-				case degraded(err):
-					s, ferr := e.estimateAvailabilityCtx(ctx, sys, p, degradeFallbackTrials, seed)
-					if ferr != nil {
-						return fmt.Errorf("measure availability of %s at p=%v: %w", sys.Name(), p, err)
-					}
-					c.Done = true
-					c.Value, c.Trials, c.StdErr, c.HalfCI = s.Mean, s.N, s.StdErr, halfCI(s)
-					c.Degraded = &Degradation{Measure: MeasureAvailability, Reason: DegradeDeadline, Estimate: &Estimate{Mean: s.Mean, HalfCI: halfCI(s), Trials: s.N}}
-				default:
-					return fmt.Errorf("measure availability of %s at p=%v: %w", sys.Name(), p, err)
-				}
+			c, err := e.pointCell(exactCtx, sys, cell(MeasureAvailability), nq.Tolerance, "measure availability", degraded,
+				func(ctx context.Context) (float64, error) { return e.AvailabilityCtx(ctx, sys, p) },
+				func() (stats.Summary, error) {
+					return e.estimateAvailabilityCtx(ctx, sys, p, degradeFallbackTrials, seed)
+				})
+			if err != nil {
+				return err
 			}
 			if !emit(c) {
 				return errStreamStopped
 			}
 		}
 		if nq.has(MeasureExpected) {
-			v, err := guardPanic("measure expected", func() (float64, error) { return e.ExpectedProbes(sys, p) })
+			v, err := guardPanic(ctx, "measure expected", func(context.Context) (float64, error) { return e.ExpectedProbes(sys, p) })
 			if err != nil {
 				return fmt.Errorf("measure expected of %s at p=%v: %w", sys.Name(), p, err)
 			}
@@ -678,7 +694,7 @@ func (e *Evaluator) streamOne(ctx context.Context, idx int, q Query, emit func(C
 			}
 		}
 		if nq.hasTimed() {
-			tr, err := guardPanic("timed measures", func() (des.Result, error) {
+			tr, err := guardPanic(ctx, "timed measures", func(ctx context.Context) (des.Result, error) {
 				return des.RunCtx(ctx, des.Params{
 					Sys: sys, Scenario: scen, P: p, Trials: timedTrials, Seed: seed, Workers: e.parallelism,
 				})
@@ -721,7 +737,7 @@ func (e *Evaluator) streamOne(ctx context.Context, idx int, q Query, emit func(C
 			Workload: Workload{ReadFraction: fr, ReadCapacity: nq.readCaps(), WriteCapacity: nq.writeCaps()},
 			F:        nq.F,
 		}
-		s, err := guardPanic("measure load", func() (*Strategy, error) { return e.StrategyCtx(exactCtx, sys, opts) })
+		s, err := guardPanic(exactCtx, "measure load", func(ctx context.Context) (*Strategy, error) { return e.StrategyCtx(ctx, sys, opts) })
 		var load float64
 		if err == nil {
 			load, err = s.Load(opts.Workload)
