@@ -151,7 +151,7 @@ func BenchmarkFigure7RProbeHQS(b *testing.B) {
 	hard := core.WorstCaseHQS(hq, coloring.Green, nil)
 	benchWitnessSearch(b, hq.Size(),
 		func(*rand.Rand) *coloring.Coloring { return hard },
-		func(o probe.Oracle, rng *rand.Rand) probe.Witness { return core.RProbeHQS(hq, o, rng) })
+		func(o probe.Oracle, rng *rand.Rand) probe.Witness { return hq.RecMaj.ProbeWitnessRandomized(o, rng) })
 }
 
 // BenchmarkFigure8IRProbeHQS exercises the improved Algorithm IR_Probe_HQS

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"probequorum"
+	"probequorum/internal/bitset"
 	"probequorum/internal/spec"
 	"probequorum/internal/store"
 )
@@ -348,6 +349,90 @@ func TestApproxServesWithinTolerance(t *testing.T) {
 	}
 	if diff := math.Abs(*pt.PPC - exact); diff > note.Bound {
 		t.Errorf("true error %v exceeds the declared bound %v", diff, note.Bound)
+	}
+}
+
+// sameNameExplicits returns two different explicit systems over five
+// elements that share the name "custom", and so the display spec
+// "explicit:custom": the majority of 5, and the wheel whose hub 0 pairs
+// with each rim element, plus the rim.
+func sameNameExplicits(t *testing.T) (maj, wheel *probequorum.ExplicitSystem) {
+	t.Helper()
+	var majQs, wheelQs []*probequorum.Set
+	for a := 0; a < 5; a++ {
+		for b := a + 1; b < 5; b++ {
+			for c := b + 1; c < 5; c++ {
+				majQs = append(majQs, bitset.FromSlice(5, []int{a, b, c}))
+			}
+		}
+	}
+	for x := 1; x < 5; x++ {
+		wheelQs = append(wheelQs, bitset.FromSlice(5, []int{0, x}))
+	}
+	wheelQs = append(wheelQs, bitset.FromSlice(5, []int{1, 2, 3, 4}))
+	maj, err := probequorum.NewExplicit("custom", 5, majQs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wheel, err = probequorum.NewExplicit("custom", 5, wheelQs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return maj, wheel
+}
+
+// TestStoreServesOnlyCanonicalSpecs pins which specs may key the tiers
+// shared across sessions: only one the registry rebuilds to an equal
+// spec. An Explicit's display spec names no quorums, so two different
+// explicit systems with one name must never answer for each other,
+// neither from the store nor from the approximate cache.
+func TestStoreServesOnlyCanonicalSpecs(t *testing.T) {
+	ctx := context.Background()
+	maj, wheel := sameNameExplicits(t)
+	want, err := probequorum.NewEvaluator().AverageProbeComplexity(wheel, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	stA, err := probequorum.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stA.Close()
+	if _, err := probequorum.NewEvaluator(probequorum.WithStore(stA)).AverageProbeComplexity(maj, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	stB, err := probequorum.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stB.Close()
+	evalB := probequorum.NewEvaluator(probequorum.WithStore(stB))
+	got, err := evalB.AverageProbeComplexity(wheel, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("store: PPC_0.3 of the explicit wheel = %v, want %v", got, want)
+	}
+	if st := evalB.Stats(); st.Builds["ppc"] != 1 || st.Hits["store"] != 0 {
+		t.Errorf("store: builds %v, hits %v; want one ppc build and no store hit", st.Builds, st.Hits)
+	}
+
+	cache := probequorum.NewApproxCache()
+	feed := probequorum.NewEvaluator(probequorum.WithApprox(cache))
+	if _, err := feed.Do(ctx, probequorum.Query{System: maj, Measures: []probequorum.Measure{probequorum.MeasurePPC}, Ps: []float64{0.2, 0.4}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := probequorum.NewEvaluator(probequorum.WithApprox(cache)).Do(ctx, probequorum.Query{
+		System: wheel, Measures: []probequorum.Measure{probequorum.MeasurePPC}, Ps: []float64{0.3}, Tolerance: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt := res.Points[0]; len(pt.Approx) != 0 || *pt.PPC != want {
+		t.Errorf("approx: PPC_0.3 of the explicit wheel = %v with notes %+v, want the exact %v", *pt.PPC, pt.Approx, want)
 	}
 }
 

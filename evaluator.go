@@ -128,6 +128,22 @@ type evalEntry struct {
 	wide    WideMaskSystem
 	wideErr error
 	wideOK  bool
+
+	// shared keys the system in the tiers shared across sessions, ""
+	// when it has no canonical spec; set once, on first use.
+	shared     string
+	sharedOnce sync.Once
+}
+
+// sharedSpec returns the spec that keys sys in the tiers shared across
+// sessions and processes (the store and the approximate cache), or ""
+// when sys has none. Only a spec the registry rebuilds to an equal spec
+// qualifies (spec.Canonical): a display spec such as an Explicit's
+// "explicit:<name>" can name two different systems, and a record keyed
+// by it would answer for the wrong one.
+func (ent *evalEntry) sharedSpec(sys System) string {
+	ent.sharedOnce.Do(func() { ent.shared, _ = spec.Canonical(sys) })
+	return ent.shared
 }
 
 // EvaluatorOption configures an Evaluator.

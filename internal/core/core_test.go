@@ -82,7 +82,7 @@ func TestRandomizedAlgorithmsSound(t *testing.T) {
 		{m, func(o probe.Oracle) probe.Witness { return m.ProbeWitnessRandomized(o, rng) }},
 		{cw, func(o probe.Oracle) probe.Witness { return cw.ProbeWitnessRandomized(o, rng) }},
 		{tr, func(o probe.Oracle) probe.Witness { return tr.ProbeWitnessRandomized(o, rng) }},
-		{hq, func(o probe.Oracle) probe.Witness { return RProbeHQS(hq, o, rng) }},
+		{hq, func(o probe.Oracle) probe.Witness { return hq.RecMaj.ProbeWitnessRandomized(o, rng) }},
 		{hq, func(o probe.Oracle) probe.Witness { return hq.ProbeWitnessRandomized(o, rng) }},
 	}
 	for _, c := range cases {

@@ -5,7 +5,10 @@
 // Probe_Tree, Probe_HQS and friends, §3) as probe.Prober methods, the
 // randomized worst-case ones (R_Probe_Maj, R_Probe_CW, R_Probe_Tree,
 // IR_Probe_HQS and friends, §4) as probe.RandomizedProber methods, and
-// their exact IID(p) expectations beside them. This package adds:
+// their exact IID(p) expectations beside them. R_Probe_HQS (Fig. 7), the
+// baseline IR_Probe_HQS improves on, is the randomized strategy of the
+// HQS's embedded RecMaj(3, h): hq.RecMaj.ProbeWitnessRandomized. This
+// package adds:
 //
 //   - Resolve — the one strategy resolver every consumer uses: a system's
 //     own strategy when it has one, else the generic scan below.
@@ -14,10 +17,6 @@
 //   - Universal — the quorum-avoiding snoop in the spirit of Peleg &
 //     Wool's O(c^2) universal algorithm [15]; GreedyQuorum — the dynamic
 //     heuristic of [4,11].
-//   - RProbeHQS — §4.4, Fig. 7 (Boppana): evaluate a random pair of
-//     children, the third only on disagreement; O(n^{log3(8/3)}). The
-//     HQS capability runs the improved IR_Probe_HQS (Fig. 8); Fig. 7
-//     stays here as the baseline it is measured against.
 //   - FullParallel, ParallelProbeCW and the round accounting of batch
 //     probing.
 //   - The exact per-coloring expectation evaluators of the randomized

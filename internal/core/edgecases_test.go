@@ -32,7 +32,7 @@ func TestAlgorithmsOnMonochromaticUniverses(t *testing.T) {
 		{"ProbeTree", tree, tree.ProbeWitness},
 		{"RProbeTree", tree, func(o probe.Oracle) probe.Witness { return tree.ProbeWitnessRandomized(o, rng) }},
 		{"ProbeHQS", hqs, hqs.ProbeWitness},
-		{"RProbeHQS", hqs, func(o probe.Oracle) probe.Witness { return RProbeHQS(hqs, o, rng) }},
+		{"RProbeHQS", hqs, func(o probe.Oracle) probe.Witness { return hqs.RecMaj.ProbeWitnessRandomized(o, rng) }},
 		{"IRProbeHQS", hqs, func(o probe.Oracle) probe.Witness { return hqs.ProbeWitnessRandomized(o, rng) }},
 	}
 	for _, a := range algos {

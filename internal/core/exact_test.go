@@ -172,7 +172,7 @@ func TestExactRProbeHQSMatchesMonteCarlo(t *testing.T) {
 	for _, col := range cols {
 		exact := ExactRProbeHQS(hq, col)
 		mc := monteCarlo(col, 20000, rng, func(o probe.Oracle, r *rand.Rand) probe.Witness {
-			return RProbeHQS(hq, o, r)
+			return hq.RecMaj.ProbeWitnessRandomized(o, r)
 		})
 		if math.Abs(exact-mc) > 0.06 {
 			t.Errorf("%s: exact %.4f vs MC %.4f", col, exact, mc)

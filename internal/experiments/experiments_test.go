@@ -1,9 +1,22 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var updateReports = flag.Bool("update", false, "rewrite testdata/reports.golden from the current drivers")
+
+const reportsGoldenPath = "testdata/reports.golden"
+
+// allReports runs every registered driver once per test binary: the
+// drivers take the better part of a minute under -race, and both the
+// reproduction check and the golden comparison read the same reports.
+var allReports = sync.OnceValue(RunAll)
 
 // TestAllExperimentsReproduce runs every registered driver and fails on
 // any DEVIATES verdict or error line — the repository-level statement that
@@ -13,8 +26,7 @@ func TestAllExperimentsReproduce(t *testing.T) {
 		t.Skip("experiment drivers are slow; skipped in -short mode")
 	}
 	seen := map[string]bool{}
-	for _, run := range Registry() {
-		rep := run()
+	for _, rep := range allReports() {
 		if rep.ID == "" || rep.Title == "" {
 			t.Errorf("report missing metadata: %+v", rep)
 		}
@@ -72,5 +84,50 @@ func TestVerdict(t *testing.T) {
 	}
 	if got := verdict(0.1, 0, 0); !strings.Contains(got, "DEVIATES") {
 		t.Errorf("zero expected: %q", got)
+	}
+}
+
+// wallClock matches the X9 streaming report's timings, the only report
+// fields that depend on the machine rather than on the drivers.
+var wallClock = regexp.MustCompile(`(first cell after|full sweep) [0-9.]+ms`)
+
+// TestExperimentReportsGolden compares every driver's rendered report
+// with testdata/reports.golden, wall-clock timings masked: a refactor
+// that must not move an answer leaves every row as it was. Regenerate
+// with -update only for a deliberate change of a report.
+func TestExperimentReportsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment drivers are slow; skipped in -short mode")
+	}
+	var b strings.Builder
+	for _, rep := range allReports() {
+		b.WriteString(rep.String())
+	}
+	got := wallClock.ReplaceAllString(b.String(), "$1 <ms>")
+	if *updateReports {
+		if err := os.WriteFile(reportsGoldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(reportsGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("reports differ from %s at line %d:\n got: %q\nwant: %q", reportsGoldenPath, i+1, g, w)
+		}
 	}
 }

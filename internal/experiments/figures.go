@@ -9,7 +9,6 @@ import (
 	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
 	"probequorum/internal/core"
-	"probequorum/internal/render"
 	"probequorum/internal/strategy"
 	"probequorum/internal/systems"
 )
@@ -29,7 +28,7 @@ func Figure1() Report {
 		r.addf("internal error: quorum not found")
 		return r
 	}
-	addBlock(&r, render.CW(tri, quorum))
+	addBlock(&r, tri.RenderASCII(quorum))
 	r.addf("shaded quorum: %v (row 2 full + one representative per lower row)", quorum)
 	return r
 }
@@ -43,7 +42,7 @@ func Figure2() Report {
 		r.addf("internal error: not a quorum")
 		return r
 	}
-	addBlock(&r, render.Tree(tr, q))
+	addBlock(&r, tr.RenderASCII(q))
 	r.addf("shaded quorum: %v (root + subtree quorums)", q)
 	return r
 }
@@ -54,7 +53,7 @@ func Figure3() Report {
 	r := Report{ID: "F3", Title: "HQS with quorum {1,2,5,6} shaded (paper Fig. 3)"}
 	h := mustSystem[*systems.HQS]("hqs:2")
 	q := bitset.FromSlice(9, []int{0, 1, 4, 5})
-	addBlock(&r, render.HQS(h, q))
+	addBlock(&r, h.RenderASCII(q))
 	r.addf("{1,2,5,6} is a quorum: %v (2-of-3 gates: gate1 and gate2 true)", h.ContainsQuorum(q))
 	return r
 }

@@ -76,25 +76,11 @@ func table1TreePPC(r *Report) {
 }
 
 // table1HQSPPC: paper row "HQS: n^0.834" (tight at p = 1/2) — the exact
-// per-level ratio of Probe_HQS is 5/2.
+// per-level ratio of Probe_HQS, by the Theorem 3.8 recursion, is 5/2.
 func table1HQSPPC(r *Report) {
-	e5 := exactProbeHQSCost(5)
-	e6 := exactProbeHQSCost(6)
-	ratio := e6 / e5
+	ratio := systems.ExpectedProbeHQSIID(6, 0.5) / systems.ExpectedProbeHQSIID(5, 0.5)
 	r.addf("HQS    h=6 n=729  per-level ratio=%7.4f  paper 5/2 → Θ(n^%.3f)  %s",
 		ratio, analytic.HQSPPCExponentHalf(), verdict(ratio, 2.5, 1e-9))
-}
-
-// exactProbeHQSCost computes the exact expected probes of Probe_HQS at
-// p = 1/2 via its gate recursion T(h) = 2T + 2F(1-F)T with F = 1/2 — the
-// same quantity Theorem 3.8 tracks — validated against enumeration for
-// small h in the test suite.
-func exactProbeHQSCost(h int) float64 {
-	t := 1.0
-	for i := 0; i < h; i++ {
-		t *= 2.5
-	}
-	return t
 }
 
 // table1MajPCR: paper row "Maj randomized: n - 1 + o(1)", precisely

@@ -272,7 +272,9 @@ func MaxQuorumSize(sys System) int {
 
 // Explicit is a quorum system given by an explicit list of minimal quorums.
 // It is the reference implementation used to cross-validate the structural
-// constructions, and the natural representation for ad-hoc systems.
+// constructions, and the natural representation for ad-hoc systems. Built
+// by NewFamily, it is one role of a read/write pair, whose quorums need
+// not intersect each other.
 type Explicit struct {
 	name    string
 	n       int
@@ -289,9 +291,26 @@ var (
 
 // NewExplicit builds an explicit system over n elements with the given
 // quorums (copied). It returns an error if the family is empty, any quorum
-// is empty or out of range, or the family violates intersection or
-// minimality.
+// is empty or out of range, or the family violates minimality or
+// intersection.
 func NewExplicit(name string, n int, quorums []*bitset.Set) (*Explicit, error) {
+	e, err := NewFamily(name, n, quorums)
+	if err != nil {
+		return nil, err
+	}
+	if !IsIntersecting(e.quorums) {
+		return nil, errors.New("quorum: family violates the intersection property")
+	}
+	return e, nil
+}
+
+// NewFamily builds the system over n elements whose minimal quorums are
+// the given sets (copied), without requiring them to intersect: one role
+// of a read/write pair, where intersection is a property of the pair
+// (every read meets every write), not of either role. It returns an error
+// if the family is empty, any set is empty or out of range, or the family
+// violates minimality.
+func NewFamily(name string, n int, quorums []*bitset.Set) (*Explicit, error) {
 	if len(quorums) == 0 {
 		return nil, errors.New("quorum: empty quorum family")
 	}
@@ -305,11 +324,8 @@ func NewExplicit(name string, n int, quorums []*bitset.Set) (*Explicit, error) {
 		}
 		cp[i] = q.Clone()
 	}
-	if !IsIntersecting(cp) {
-		return nil, errors.New("quorum: family violates the intersection property")
-	}
 	if !IsAntichain(cp) {
-		return nil, errors.New("quorum: family violates minimality (not a coterie)")
+		return nil, errors.New("quorum: family violates minimality (not an antichain)")
 	}
 	return &Explicit{name: name, n: n, quorums: cp, wide: newWordFamily(n, cp)}, nil
 }

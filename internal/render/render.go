@@ -1,39 +1,18 @@
-// Package render draws quorum systems and probe strategy trees as ASCII
-// art, reproducing the paper's illustrations: Fig. 1 (Triang with a shaded
-// quorum), Fig. 2 (Tree), Fig. 3 (HQS) and Fig. 4 (the Maj3 decision
-// tree). Shaded (quorum) elements are bracketed as [v]; others appear as
-// plain numbers. Elements are labeled 1-based to match the paper.
+// Package render draws probe strategy trees and colorings as ASCII art:
+// Fig. 4 of the paper (the Maj3 decision tree) and its relatives. The
+// layout drawings of Figs. 1-3 (Triang with a shaded quorum, Tree, HQS)
+// are each construction's own quorum.Renderer capability, RenderASCII
+// (internal/systems/render.go). Elements are labeled 1-based to match
+// the paper.
 package render
 
 import (
 	"fmt"
 	"strings"
 
-	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
 	"probequorum/internal/strategy"
-	"probequorum/internal/systems"
 )
-
-// The per-construction layout drawings are implemented on the systems
-// themselves as the quorum.Renderer capability
-// (internal/systems/render.go), which is what the façade's RenderSystem
-// dispatches on; the free functions below are the paper-figure-named
-// entry points.
-
-// CW renders a crumbling wall row by row, centering each row and
-// bracketing the elements of the highlighted set (a quorum, witness or
-// arbitrary subset; nil for none).
-func CW(c *systems.CW, highlight *bitset.Set) string { return c.RenderASCII(highlight) }
-
-// Tree renders the binary tree system sideways: the root at the left
-// margin, the right subtree above the root's line and the left subtree
-// below it, bracketing highlighted elements.
-func Tree(t *systems.Tree, highlight *bitset.Set) string { return t.RenderASCII(highlight) }
-
-// HQS renders the ternary gate tree level by level: internal gates as
-// "MAJ" nodes and the leaf row with highlighted elements bracketed.
-func HQS(h *systems.HQS, highlight *bitset.Set) string { return h.RenderASCII(highlight) }
 
 // StrategyTree renders a probe strategy tree (Fig. 4): internal nodes show
 // the probed element (1-based), branches are marked g/r, and leaves carry

@@ -20,7 +20,7 @@ func TestCWFigure1(t *testing.T) {
 	if !ok {
 		t.Fatal("expected quorum {2,3,5}")
 	}
-	out := CW(tr, quorum)
+	out := tr.RenderASCII(quorum)
 	want := "" +
 		"row 1:     1 \n" +
 		"row 2:  [2][3]\n" +
@@ -35,7 +35,7 @@ func TestCWNoHighlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := CW(w, nil)
+	out := w.RenderASCII(nil)
 	if strings.Contains(out, "[") {
 		t.Errorf("unexpected highlight in %q", out)
 	}
@@ -55,7 +55,7 @@ func TestTreeFigure2(t *testing.T) {
 	if !tr.ContainsQuorum(q) {
 		t.Fatal("root-path set is not a quorum")
 	}
-	out := Tree(tr, q)
+	out := tr.RenderASCII(q)
 	want := "" +
 		"        [7]\n" +
 		"    [3]\n" +
@@ -76,7 +76,7 @@ func TestHQSFigure3(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := bitset.FromSlice(9, []int{0, 1, 4, 5})
-	out := HQS(h, q)
+	out := h.RenderASCII(q)
 	if !strings.Contains(out, "MAJ") {
 		t.Errorf("missing gate row:\n%s", out)
 	}

@@ -10,10 +10,11 @@ import (
 // This file holds the native role systems behind the two-role
 // constructors: Choose(k of n) threshold roles (read-one/write-all),
 // grid rows and grid transversals. Each is a full wide-mask-native
-// quorum.System in its own right — within a role the quorums need not
-// pairwise intersect (ROWA reads do not), which is why these cannot be
-// quorum.Explicit values; intersection is a pair property (duality), not
-// a role property.
+// quorum.System in its own right. Within a role the quorums need not
+// pairwise intersect (ROWA reads do not): intersection is a pair
+// property (duality), not a role property. Roles given as explicit
+// quorum lists are quorum.NewFamily values, quorum.Explicit without the
+// intersection check.
 
 // Choose is the threshold role whose minimal quorums are exactly the
 // k-element subsets of an n-element universe: membership is a popcount.
@@ -313,103 +314,4 @@ func powAbove(c, r, budget int) bool {
 		}
 	}
 	return false
-}
-
-// explicitRole is an ad-hoc role given by its minimal quorum list:
-// Explicit minus the intersection requirement, since intersection is a
-// pair property under duality, not a per-role one.
-type explicitRole struct {
-	name    string
-	n       int
-	quorums []*bitset.Set
-	wide    [][]uint64
-}
-
-var (
-	_ quorum.System         = (*explicitRole)(nil)
-	_ quorum.Finder         = (*explicitRole)(nil)
-	_ quorum.Sized          = (*explicitRole)(nil)
-	_ quorum.WideMaskSystem = (*explicitRole)(nil)
-)
-
-func newExplicitRole(name string, n int, quorums []*bitset.Set) (*explicitRole, error) {
-	if len(quorums) == 0 {
-		return nil, fmt.Errorf("rw: %s: empty quorum family", name)
-	}
-	cp := make([]*bitset.Set, len(quorums))
-	for i, q := range quorums {
-		if q.Len() != n {
-			return nil, fmt.Errorf("rw: %s: quorum %d has capacity %d, want %d", name, i, q.Len(), n)
-		}
-		if q.Empty() {
-			return nil, fmt.Errorf("rw: %s: quorum %d is empty", name, i)
-		}
-		cp[i] = q.Clone()
-	}
-	if !quorum.IsAntichain(cp) {
-		return nil, fmt.Errorf("rw: %s: family violates minimality (not an antichain)", name)
-	}
-	e := &explicitRole{name: name, n: n, quorums: cp, wide: make([][]uint64, len(cp))}
-	for i, q := range cp {
-		e.wide[i] = quorum.WordsOf(q)
-	}
-	return e, nil
-}
-
-func (e *explicitRole) Name() string { return e.name }
-func (e *explicitRole) Size() int    { return e.n }
-
-func (e *explicitRole) ContainsQuorum(s *bitset.Set) bool {
-	for _, q := range e.quorums {
-		if q.SubsetOf(s) {
-			return true
-		}
-	}
-	return false
-}
-
-func (e *explicitRole) ContainsQuorumWords(words []uint64) bool {
-	for _, q := range e.wide {
-		if quorum.SubsetOfWords(q, words) {
-			return true
-		}
-	}
-	return false
-}
-
-func (e *explicitRole) Quorums() []*bitset.Set {
-	out := make([]*bitset.Set, len(e.quorums))
-	for i, q := range e.quorums {
-		out[i] = q.Clone()
-	}
-	return out
-}
-
-func (e *explicitRole) FindQuorumWithin(allowed *bitset.Set) (*bitset.Set, bool) {
-	for _, q := range e.quorums {
-		if q.SubsetOf(allowed) {
-			return q.Clone(), true
-		}
-	}
-	return nil, false
-}
-
-func (e *explicitRole) MinQuorumSize() int {
-	best := e.n + 1
-	for _, q := range e.quorums {
-		if c := q.Count(); c < best {
-			best = c
-		}
-	}
-	return best
-}
-
-func (e *explicitRole) MaxQuorumSize() int {
-	best := 0
-	for _, q := range e.quorums {
-		if c := q.Count(); c > best {
-			best = c
-		}
-	}
-	return best
 }

@@ -149,13 +149,13 @@ func Grid(r, c int) (*Pair, error) {
 // write quorum's complement is tested against the read role's
 // characteristic function.
 func NewExplicitPair(name string, n int, reads, writes []*bitset.Set) (*Pair, error) {
-	rr, err := newExplicitRole(name+" reads", n, reads)
+	rr, err := quorum.NewFamily(name+" reads", n, reads)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rw: %s reads: %w", name, err)
 	}
-	wr, err := newExplicitRole(name+" writes", n, writes)
+	wr, err := quorum.NewFamily(name+" writes", n, writes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("rw: %s writes: %w", name, err)
 	}
 	p := newPair(name, "", rr, wr)
 	if err := CheckDuality(rr, wr); err != nil {

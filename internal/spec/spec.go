@@ -116,6 +116,25 @@ func Of(sys quorum.System) (string, bool) {
 	return s, s != ""
 }
 
+// Canonical returns the spec of sys when the spec identifies the system
+// wherever it is read: Parse rebuilds it into a system reporting the same
+// spec. Only such a spec may key a cache shared across sessions or
+// processes. A display-only spec fails: an Explicit's "explicit:<name>"
+// names no quorums, so two different systems can report it, and Parse
+// refuses it.
+func Canonical(sys quorum.System) (string, bool) {
+	s, ok := Of(sys)
+	if !ok {
+		return "", false
+	}
+	rebuilt, err := Parse(s)
+	if err != nil {
+		return "", false
+	}
+	r, ok := Of(rebuilt)
+	return s, ok && r == s
+}
+
 // parseInt parses a single integer argument.
 func parseInt(arg, what string) (int, error) {
 	v, err := strconv.Atoi(strings.TrimSpace(arg))

@@ -259,19 +259,14 @@ func (s *ppcSolver) solve(ctx context.Context) (float64, error) {
 // the minimal expected probes over all probe strategy trees when every
 // element independently fails (is red) with probability p.
 func OptimalPPC(sys quorum.System, p float64) (float64, error) {
-	return OptimalPPCWithTable(sys, nil, p)
+	return OptimalPPCWithTableCtx(context.Background(), sys, nil, p)
 }
 
-// OptimalPPCWithTable is OptimalPPC running against a prebuilt witness
+// OptimalPPCWithTableCtx is OptimalPPC running against a prebuilt witness
 // table for the system (nil to build one), letting sessions amortize the
-// table across repeated measures.
-func OptimalPPCWithTable(sys quorum.System, table *quorum.WitnessTable, p float64) (float64, error) {
-	return OptimalPPCWithTableCtx(context.Background(), sys, table, p)
-}
-
-// OptimalPPCWithTableCtx is OptimalPPCWithTable honoring cancellation:
-// the expectimax recursion polls the context's cancellation flag and a
-// done ctx aborts the solve promptly with ctx.Err().
+// table across repeated measures, and honoring cancellation: the
+// expectimax recursion polls the context's cancellation flag and a done
+// ctx aborts the solve promptly with ctx.Err().
 func OptimalPPCWithTableCtx(ctx context.Context, sys quorum.System, table *quorum.WitnessTable, p float64) (float64, error) {
 	s, err := newPPCSolver(ctx, sys, table, p)
 	if err != nil {
@@ -349,15 +344,12 @@ func (s *pcSolver) solve(ctx context.Context) (int, error) {
 // OptimalPC returns the deterministic worst-case probe complexity PC(S):
 // the depth of the best probe strategy tree. By Lemma 2.2, Maj, Wheel, CW
 // and Tree are evasive (PC = n).
-func OptimalPC(sys quorum.System) (int, error) { return OptimalPCWithTable(sys, nil) }
-
-// OptimalPCWithTable is OptimalPC running against a prebuilt witness
-// table for the system (nil to build one).
-func OptimalPCWithTable(sys quorum.System, table *quorum.WitnessTable) (int, error) {
-	return OptimalPCWithTableCtx(context.Background(), sys, table)
+func OptimalPC(sys quorum.System) (int, error) {
+	return OptimalPCWithTableCtx(context.Background(), sys, nil)
 }
 
-// OptimalPCWithTableCtx is OptimalPCWithTable honoring cancellation: the
+// OptimalPCWithTableCtx is OptimalPC running against a prebuilt witness
+// table for the system (nil to build one), honoring cancellation: the
 // minimax recursion polls the context's cancellation flag and a done ctx
 // aborts the solve promptly with ctx.Err().
 func OptimalPCWithTableCtx(ctx context.Context, sys quorum.System, table *quorum.WitnessTable) (int, error) {
@@ -432,16 +424,13 @@ func (nd *Node) Execute(col *coloring.Coloring) (coloring.Color, int) {
 // breaking ties toward the lowest-index element (reproducing the natural
 // Fig. 4 tree for Maj3). The solver is run once; the descent then only
 // reads memoized values.
-func BuildOptimalPC(sys quorum.System) (*Node, error) { return BuildOptimalPCWithTable(sys, nil) }
-
-// BuildOptimalPCWithTable is BuildOptimalPC running against a prebuilt
-// witness table for the system (nil to build one).
-func BuildOptimalPCWithTable(sys quorum.System, table *quorum.WitnessTable) (*Node, error) {
-	return BuildOptimalPCWithTableCtx(context.Background(), sys, table)
+func BuildOptimalPC(sys quorum.System) (*Node, error) {
+	return BuildOptimalPCWithTableCtx(context.Background(), sys, nil)
 }
 
-// BuildOptimalPCWithTableCtx is BuildOptimalPCWithTable honoring
-// cancellation across both the solve and the tree descent.
+// BuildOptimalPCWithTableCtx is BuildOptimalPC running against a prebuilt
+// witness table for the system (nil to build one), honoring cancellation
+// across both the solve and the tree descent.
 func BuildOptimalPCWithTableCtx(ctx context.Context, sys quorum.System, table *quorum.WitnessTable) (*Node, error) {
 	s, err := newPCSolver(ctx, sys, table)
 	if err != nil {

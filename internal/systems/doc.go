@@ -11,7 +11,10 @@
 //   - Tree:  the tree system of Agrawal & El-Abbadi [1] — recursively, the
 //     root plus a quorum of one subtree, or quorums of both subtrees.
 //   - HQS:   the hierarchical quorum system of Kumar [8] — minterms of a
-//     complete ternary tree of 2-of-3 majority gates over the leaves.
+//     complete ternary tree of 2-of-3 majority gates over the leaves. It is
+//     RecMaj(3, h), the arity-3 case of the recursive majority extension,
+//     which it embeds; only IR_Probe_HQS and the Theorem 3.8 closed forms
+//     are its own.
 //
 // Every construction offers structural (enumeration-free) evaluation of the
 // characteristic function, quorum search inside an allowed set, and — for

@@ -133,44 +133,6 @@ func (t *Tree) probeAt(o probe.Oracle, v int) probe.Witness {
 	return probe.Witness{Color: wl.Color, Set: wl.Set}
 }
 
-// ProbeWitness implements probe.Prober with Algorithm Probe_HQS (§3.4):
-// evaluate each 2-of-3 gate by recursively evaluating its first two
-// children and the third only when they disagree. The strategy is h-good
-// and, by Theorem 3.9, optimal in the probabilistic model at p = 1/2.
-func (q *HQS) ProbeWitness(o probe.Oracle) probe.Witness {
-	return q.probeAt(o, 0, q.n)
-}
-
-func (q *HQS) probeAt(o probe.Oracle, start, size int) probe.Witness {
-	if size == 1 {
-		return probe.Witness{
-			Color: o.Probe(start),
-			Set:   bitset.FromSlice(q.n, []int{start}),
-		}
-	}
-	third := size / 3
-	w0 := q.probeAt(o, start, third)
-	w1 := q.probeAt(o, start+third, third)
-	if w0.Color == w1.Color {
-		w0.Set.UnionWith(w1.Set)
-		return probe.Witness{Color: w0.Color, Set: w0.Set}
-	}
-	w2 := q.probeAt(o, start+2*third, third)
-	return mergeMajority(w2, w0, w1)
-}
-
-// mergeMajority combines the deciding child witness with whichever of the
-// other two child witnesses shares its color, yielding the gate witness.
-func mergeMajority(decider, a, b probe.Witness) probe.Witness {
-	match := a
-	if b.Color == decider.Color {
-		match = b
-	}
-	set := decider.Set.Clone()
-	set.UnionWith(match.Set)
-	return probe.Witness{Color: decider.Color, Set: set}
-}
-
 // ProbeWitness implements probe.Prober by probing elements in order of
 // decreasing weight until one color accumulates a strict majority of the
 // total weight. Heavy elements resolve the most weight per probe, which
@@ -217,8 +179,11 @@ func (v *Vote) probeOrder() []int {
 
 // ProbeWitness implements probe.Prober by short-circuit gate evaluation:
 // children are evaluated left to right and a gate stops as soon as one
-// color reaches the gate threshold (m+1)/2. For m = 3 this is exactly
-// Probe_HQS.
+// color reaches the gate threshold (m+1)/2. For m = 3 this is Probe_HQS
+// (§3.4): evaluate the first two children and the third only when they
+// disagree. That strategy is h-good and, by Theorem 3.9, optimal in the
+// probabilistic model at p = 1/2; the HQS runs it through its embedded
+// RecMaj.
 func (r *RecMaj) ProbeWitness(o probe.Oracle) probe.Witness {
 	return r.probeAt(o, 0, r.n)
 }

@@ -149,44 +149,6 @@ func (t *Tree) probeWordsAt(o *probe.WordsOracle, v int, dst []uint64) coloring.
 	return cl
 }
 
-// ProbeWitnessWords implements probe.WordsProber: Probe_HQS evaluating
-// each 2-of-3 gate on word buffers.
-//
-//quorum:hotpath
-func (q *HQS) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
-	dst := o.AcquireWords()
-	c := q.probeWordsAt(o, 0, q.n, dst)
-	return probe.WordsWitness{Color: c, Words: dst}
-}
-
-func (q *HQS) probeWordsAt(o *probe.WordsOracle, start, size int, dst []uint64) coloring.Color {
-	if size == 1 {
-		c := o.Probe(start)
-		quorum.ZeroWords(dst)
-		quorum.SetWordBit(dst, start)
-		return c
-	}
-	third := size / 3
-	c0 := q.probeWordsAt(o, start, third, dst)
-	w1 := o.AcquireWords()
-	c1 := q.probeWordsAt(o, start+third, third, w1)
-	if c0 == c1 {
-		quorum.OrWords(dst, w1)
-		o.ReleaseWords(1)
-		return c0
-	}
-	w2 := o.AcquireWords()
-	c2 := q.probeWordsAt(o, start+2*third, third, w2)
-	// The gate witness is the deciding child plus whichever of the first
-	// two shares its color (mergeMajority).
-	if c2 != c0 {
-		quorum.CopyWords(dst, w1)
-	}
-	quorum.OrWords(dst, w2)
-	o.ReleaseWords(2)
-	return c2
-}
-
 // ProbeWitnessWords implements probe.WordsProber: the descending-weight
 // scan with word-buffer color classes.
 //

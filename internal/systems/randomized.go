@@ -261,6 +261,18 @@ func (q *HQS) irContinueEval(o probe.Oracle, rng *rand.Rand, start, size, knownI
 	return mergeMajority(w2, known, w1)
 }
 
+// mergeMajority combines the deciding child witness with whichever of the
+// other two child witnesses shares its color, yielding the gate witness.
+func mergeMajority(decider, a, b probe.Witness) probe.Witness {
+	match := a
+	if b.Color == decider.Color {
+		match = b
+	}
+	set := decider.Set.Clone()
+	set.UnionWith(match.Set)
+	return probe.Witness{Color: decider.Color, Set: set}
+}
+
 // ProbeWitnessRandomized implements probe.RandomizedProber in the spirit
 // of R_Probe_Maj: probe elements in uniformly random order until one
 // color accumulates a strict weight majority. Randomizing the order
@@ -293,7 +305,10 @@ func (v *Vote) ProbeWitnessRandomized(o probe.Oracle, rng *rand.Rand) probe.Witn
 // ProbeWitnessRandomized implements probe.RandomizedProber by evaluating
 // every gate's children in uniformly random order with short-circuit at
 // the gate threshold — the m-ary generalization of Algorithm R_Probe_HQS
-// (Fig. 7); for m = 3 the two coincide.
+// (Fig. 7, due to Boppana [16]; PCR = O(n^{log3(8/3)})). For m = 3 it is
+// R_Probe_HQS itself: the HQS overrides this method with the improved
+// IR_Probe_HQS and keeps R_Probe_HQS, the baseline IR_Probe_HQS is
+// measured against, as hq.RecMaj.ProbeWitnessRandomized.
 func (r *RecMaj) ProbeWitnessRandomized(o probe.Oracle, rng *rand.Rand) probe.Witness {
 	return r.rProbeAt(o, rng, 0, r.n)
 }

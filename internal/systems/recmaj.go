@@ -9,9 +9,11 @@ import (
 
 // RecMaj is the recursive majority quorum system: the universe is the set
 // of n = m^h leaves of a complete m-ary tree (m odd) whose internal nodes
-// are strict-majority gates. RecMaj(3, h) is exactly Kumar's HQS; larger
-// arities are the natural generalization the paper's §3.4 machinery
-// suggests, included here as an extension.
+// are strict-majority gates. RecMaj(3, h) is exactly Kumar's HQS, which
+// embeds it (hqs.go): the membership, enumeration, finder, drawing and
+// generic strategies here are the HQS's too. Larger arities are the
+// natural generalization the paper's §3.4 machinery suggests, included
+// here as an extension.
 //
 // Every quorum has the uniform size ((m+1)/2)^h.
 type RecMaj struct {

@@ -12,7 +12,6 @@ import (
 // construction, in the style of the paper's Figs. 1-3: elements are
 // labeled 1-based, and elements of the highlighted set (a quorum, witness
 // or arbitrary subset; nil for none) are bracketed as [v].
-// internal/render re-exports the CW/Tree/HQS drawings as free functions.
 
 var (
 	_ quorum.Renderer = (*Maj)(nil)
@@ -103,14 +102,9 @@ func (t *Tree) RenderASCII(highlight *bitset.Set) string {
 	return b.String()
 }
 
-// RenderASCII implements quorum.Renderer: the ternary gate tree level by
-// level, internal gates as "MAJ" nodes above the leaf row (Fig. 3).
-func (q *HQS) RenderASCII(highlight *bitset.Set) string {
-	return gateTreeASCII(q.n, q.h, 3, highlight)
-}
-
 // RenderASCII implements quorum.Renderer: the m-ary majority gate tree
-// level by level above the leaf row, generalizing the HQS drawing.
+// level by level, internal gates as "MAJ" nodes above the leaf row; for
+// m = 3 this is the HQS drawing of Fig. 3.
 func (r *RecMaj) RenderASCII(highlight *bitset.Set) string {
 	return gateTreeASCII(r.n, r.h, r.m, highlight)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"probequorum/internal/spec"
 	"probequorum/internal/store"
 )
 
@@ -69,16 +68,16 @@ var storeCodecs = map[string]storeCodec{
 
 // record returns the key of the artifact's persistent record, or false
 // when the store tier does not apply: no store attached, or no canonical
-// spec — ad-hoc systems are never persisted, because the key must be
-// derivable identically in every process that shares the store
-// directory. The key is the spec, extended by store.ParamKey for "ppc"
-// and store.OptionsKey for "strategy".
-func (e *Evaluator) record(sys System, key artifactKey) (string, bool) {
+// spec (sharedSpec) — ad-hoc systems, Explicit ones included, are never
+// persisted, because the key must identify the system in every process
+// that shares the store directory. The key is the spec, extended by
+// store.ParamKey for "ppc" and store.OptionsKey for "strategy".
+func (e *Evaluator) record(ent *evalEntry, sys System, key artifactKey) (string, bool) {
 	if e.artifacts == nil {
 		return "", false
 	}
-	sp, ok := spec.Of(sys)
-	if !ok {
+	sp := ent.sharedSpec(sys)
+	if sp == "" {
 		return "", false
 	}
 	switch key.kind {
@@ -289,7 +288,7 @@ func typed[T any](o outcome) (v T, err error) {
 // rebuilds cleanly.
 func runBuild[T any](ctx context.Context, e *Evaluator, ent *evalEntry, sys System, key artifactKey, call *buildCall, build func(context.Context) (T, error)) {
 	defer call.cancel()
-	rec, persistent := e.record(sys, key)
+	rec, persistent := e.record(ent, sys, key)
 	codec := storeCodecs[key.kind]
 	var o outcome
 	fetched := false

@@ -295,10 +295,10 @@ func FoldCells(cells iter.Seq2[Cell, error], n int) ([]*Result, error) {
 			continue
 		}
 		if c.ReadFraction != nil {
-			for len(res.RWPoints) <= c.Point {
-				res.RWPoints = append(res.RWPoints, RWPoint{})
+			pt, err := foldPoint(&res.RWPoints, c)
+			if err != nil {
+				return nil, err
 			}
-			pt := &res.RWPoints[c.Point]
 			pt.ReadFraction = *c.ReadFraction
 			if c.Degraded != nil {
 				pt.Degraded = append(pt.Degraded, *c.Degraded)
@@ -330,10 +330,10 @@ func FoldCells(cells iter.Seq2[Cell, error], n int) ([]*Result, error) {
 			}
 			continue
 		}
-		for len(res.Points) <= c.Point {
-			res.Points = append(res.Points, Point{})
+		pt, err := foldPoint(&res.Points, c)
+		if err != nil {
+			return nil, err
 		}
-		pt := &res.Points[c.Point]
 		pt.P = *c.P
 		if c.Degraded != nil {
 			pt.Degraded = append(pt.Degraded, *c.Degraded)
@@ -369,6 +369,21 @@ func FoldCells(cells iter.Seq2[Cell, error], n int) ([]*Result, error) {
 	return results, nil
 }
 
+// foldPoint returns the grid point a done cell folds into. A valid stream
+// emits each query's done cells in grid order, so the cell's point is
+// either the last one folded or the next; any other point is a malformed
+// stream, rejected like a query outside the batch.
+func foldPoint[T any](points *[]T, c Cell) (*T, error) {
+	if c.Point < 0 || c.Point > len(*points) {
+		return nil, queryErrorf("cell for grid point %d of query %d out of order after %d points", c.Point, c.Query, len(*points))
+	}
+	if c.Point == len(*points) {
+		var zero T
+		*points = append(*points, zero)
+	}
+	return &(*points)[c.Point], nil
+}
+
 // CellSeq replays collected cells as an error-free stream — the
 // canonical way to refold cells a consumer buffered (from a wire
 // transcript, a log, or a live stream it drained first) through
@@ -395,7 +410,7 @@ const degradeFallbackTrials = 4096
 // evaluation per p), or a closed form. A memoized error does not count:
 // the approximate tier may still answer around it. The peek itself
 // counts nothing; the exact path that follows records the memo hit.
-func (e *Evaluator) memoizedExact(sys System, m Measure, p float64) bool {
+func (e *Evaluator) memoizedExact(ent *evalEntry, sys System, m Measure, p float64) bool {
 	key := artifactKey{kind: artifactPPC, p: p}
 	if m == MeasureAvailability {
 		if _, ok := sys.(ExactAvailability); ok {
@@ -403,7 +418,6 @@ func (e *Evaluator) memoizedExact(sys System, m Measure, p float64) bool {
 		}
 		key = artifactKey{kind: artifactAvailPoly}
 	}
-	ent := e.entry(sys)
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
 	o, ok := ent.memo[key]
@@ -413,19 +427,21 @@ func (e *Evaluator) memoizedExact(sys System, m Measure, p float64) bool {
 // approxAnswer consults the approximate-answer tier for one per-p exact
 // measure, honoring the opt-in contract: only when a cache is attached,
 // the query declared a positive tolerance, and the system has a
-// canonical spec to key by. The session memo outranks it (lookup order
-// memo → approx → store → compute): a tolerant query whose bit-exact
-// answer is already memoized gets that answer, never an interpolation.
-// The consultation — hit or miss — is counted in the session's tier
-// stats; an un-consulted tier counts nothing.
-func (e *Evaluator) approxAnswer(sys System, specStr string, m Measure, p, tol float64) (*ApproxNote, float64, bool) {
-	if e.approx == nil || tol <= 0 || specStr == "" {
+// canonical spec to key by (sharedSpec). The session memo outranks it
+// (lookup order memo → approx → store → compute): a tolerant query whose
+// bit-exact answer is already memoized gets that answer, never an
+// interpolation. The consultation — hit or miss — is counted in the
+// session's tier stats; an un-consulted tier counts nothing.
+func (e *Evaluator) approxAnswer(sys System, m Measure, p, tol float64) (*ApproxNote, float64, bool) {
+	if e.approx == nil || tol <= 0 {
 		return nil, 0, false
 	}
-	if e.memoizedExact(sys, m, p) {
+	ent := e.entry(sys)
+	sp := ent.sharedSpec(sys)
+	if sp == "" || e.memoizedExact(ent, sys, m, p) {
 		return nil, 0, false
 	}
-	ans, ok := e.approx.Lookup(specStr, string(m), p, tol)
+	ans, ok := e.approx.Lookup(sp, string(m), p, tol)
 	if !ok {
 		e.count(&e.missCount, tierApprox)
 		return nil, 0, false
@@ -435,12 +451,15 @@ func (e *Evaluator) approxAnswer(sys System, specStr string, m Measure, p, tol f
 }
 
 // approxInsert feeds one exactly-computed per-p value into the
-// approximate tier (when one is attached), whatever the query's
-// tolerance: exact sweeps are what give later tolerant queries their
-// brackets.
-func (e *Evaluator) approxInsert(specStr string, m Measure, p, v float64) {
-	if e.approx != nil && specStr != "" {
-		e.approx.Insert(specStr, string(m), p, v)
+// approximate tier (when one is attached and the system has a canonical
+// spec), whatever the query's tolerance: exact sweeps are what give later
+// tolerant queries their brackets.
+func (e *Evaluator) approxInsert(sys System, m Measure, p, v float64) {
+	if e.approx == nil {
+		return
+	}
+	if sp := e.entry(sys).sharedSpec(sys); sp != "" {
+		e.approx.Insert(sp, string(m), p, v)
 	}
 }
 
@@ -474,7 +493,7 @@ func (e *Evaluator) pointCell(exactCtx context.Context, sys System, c Cell, tol 
 	exact func(context.Context) (float64, error), fallback func() (stats.Summary, error)) (Cell, error) {
 	p := *c.P
 	c.Done = true
-	if note, av, ok := e.approxAnswer(sys, c.Spec, c.Measure, p, tol); ok {
+	if note, av, ok := e.approxAnswer(sys, c.Measure, p, tol); ok {
 		c.Value, c.Approx = av, note
 		return c, nil
 	}
@@ -482,7 +501,7 @@ func (e *Evaluator) pointCell(exactCtx context.Context, sys System, c Cell, tol 
 	switch {
 	case err == nil:
 		c.Value = v
-		e.approxInsert(c.Spec, c.Measure, p, v)
+		e.approxInsert(sys, c.Measure, p, v)
 		return c, nil
 	case degraded(err):
 		if s, ferr := fallback(); ferr == nil {

@@ -115,6 +115,51 @@ func TestStreamFoldMatchesDoBatch(t *testing.T) {
 	}
 }
 
+// TestFoldCellsRejectsOutOfOrderPoint pins the fold's check of a cell's
+// grid point. A valid stream emits each query's done cells in grid
+// order, so a point below zero or beyond the next one is a malformed
+// stream: the fold must refuse it with a *QueryError, on the p grid and
+// on the read-fraction grid alike, instead of panicking or padding the
+// result with empty points.
+func TestFoldCellsRejectsOutOfOrderPoint(t *testing.T) {
+	p, fr := 0.3, 0.5
+	grids := []struct {
+		name string
+		cell func(point int) probequorum.Cell
+	}{
+		{"p", func(point int) probequorum.Cell {
+			return probequorum.Cell{Measure: probequorum.MeasurePPC, P: &p, Point: point, Value: 1, Done: true}
+		}},
+		{"read-fraction", func(point int) probequorum.Cell {
+			return probequorum.Cell{Measure: probequorum.MeasureLoad, ReadFraction: &fr, Point: point, Value: 1, Done: true}
+		}},
+	}
+	fold := func(cell func(int) probequorum.Cell, points ...int) ([]*probequorum.Result, error) {
+		cells := []probequorum.Cell{{Spec: "maj:3", Name: "Maj(3)", N: 3}}
+		for _, pt := range points {
+			cells = append(cells, cell(pt))
+		}
+		return probequorum.FoldCells(probequorum.CellSeq(cells), 1)
+	}
+	for _, g := range grids {
+		for _, points := range [][]int{{-1}, {1}, {0, 0, 2}, {0, 1, 1000000}} {
+			res, err := fold(g.cell, points...)
+			var qe *probequorum.QueryError
+			if !errors.As(err, &qe) {
+				t.Errorf("%s grid, points %v: FoldCells = %v, %v; want a *QueryError", g.name, points, res, err)
+			}
+		}
+		// Two measures per point, in grid order, still fold.
+		res, err := fold(g.cell, 0, 0, 1, 1)
+		if err != nil {
+			t.Fatalf("%s grid, in-order points: %v", g.name, err)
+		}
+		if got := len(res[0].Points) + len(res[0].RWPoints); got != 2 {
+			t.Errorf("%s grid, in-order points: folded %d points, want 2", g.name, got)
+		}
+	}
+}
+
 // TestStreamEstimateProgress checks the incremental contract of the
 // estimate measure: progress cells stream before the final one, with
 // monotonically increasing trial counts, each a prefix of the same
