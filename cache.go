@@ -51,9 +51,7 @@ func NewApproxCache() *ApproxCache { return approx.New() }
 // single-flight artifact build consults it before computing (memo →
 // approx → store → compute) and persists successful computes back, so a
 // restarted or scaled-out fleet sharing the directory warms instantly
-// and bit-identically. The store must outlive the Evaluator's use of
-// it: large records are served through shared memory mappings that die
-// with the store's Close.
+// and bit-identically.
 func WithStore(s *ArtifactStore) EvaluatorOption {
 	return func(e *Evaluator) { e.artifacts = s }
 }

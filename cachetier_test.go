@@ -12,6 +12,7 @@ package probequorum_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"slices"
@@ -642,5 +643,87 @@ func TestStoreServesEveryKindWithoutCompute(t *testing.T) {
 	}
 	if stats.Hits["store"] != 5 || stats.Misses["store"] != 0 {
 		t.Errorf("store hits = %d, misses = %d; want 5 and 0", stats.Hits["store"], stats.Misses["store"])
+	}
+}
+
+// TestStoreCloseKeepsServedTables pins who owns a served table: the
+// session that read it. Session A fills a store with maj:19's 2^19-bit
+// witness table; session B reads it without a build through a fresh
+// handle on the same directory; B's store is then closed, and B's memo
+// hit must still answer Contains bit for bit.
+func TestStoreCloseKeepsServedTables(t *testing.T) {
+	ctx := context.Background()
+	sys := probequorum.MustParse("maj:19")
+	dir := t.TempDir()
+	stA, err := probequorum.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stA.Close()
+	want, err := probequorum.NewEvaluator(probequorum.WithStore(stA)).WitnessTableCtx(ctx, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stB, err := probequorum.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalB := probequorum.NewEvaluator(probequorum.WithStore(stB))
+	if _, err := evalB.WitnessTableCtx(ctx, sys); err != nil {
+		t.Fatal(err)
+	}
+	if stats := evalB.Stats(); stats.Builds["table"] != 0 || stats.Hits["store"] != 1 {
+		t.Fatalf("session B did not read the table from the store: %+v", stats)
+	}
+	if err := stB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := evalB.WitnessTableCtx(ctx, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := evalB.Stats().Hits["memo"]; hits != 1 {
+		t.Fatalf("memo hits = %d, want 1", hits)
+	}
+	for mask := uint64(0); mask < 1<<19; mask++ {
+		if got.Contains(mask) != want.Contains(mask) {
+			t.Fatalf("after Close, Contains(%#x) = %t, want %t", mask, got.Contains(mask), want.Contains(mask))
+		}
+	}
+}
+
+// TestExactMeasuresCheckDPBoundFirst pins the order of the exact
+// measures past the DP bound: pc, ppc and tree answer the DP's
+// BoundError (Max 18) without building — or persisting — a witness
+// table first, also where the table would have its own, larger bound to
+// report (tree:4, n = 31).
+func TestExactMeasuresCheckDPBoundFirst(t *testing.T) {
+	ctx := context.Background()
+	for _, sp := range []string{"maj:19", "tree:4"} {
+		st, err := probequorum.OpenArtifactStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		eval := probequorum.NewEvaluator(probequorum.WithStore(st))
+		n := probequorum.MustParse(sp).Size()
+		for _, m := range []probequorum.Measure{probequorum.MeasurePC, probequorum.MeasurePPC, probequorum.MeasureTree} {
+			_, err := eval.Do(ctx, probequorum.Query{Spec: sp, Measures: []probequorum.Measure{m}, Ps: []float64{0.3}})
+			var be *probequorum.BoundError
+			if !errors.As(err, &be) || be.Max != 18 || be.N != n {
+				t.Errorf("%s %s: err = %v, want the DP bound error (n = %d, max 18)", sp, m, err, n)
+			}
+		}
+		if b := eval.Stats().Builds["table"]; b != 0 {
+			t.Errorf("%s: out-of-reach exact measures built %d witness tables", sp, b)
+		}
+		stats, err := st.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := stats.Kinds["table"].Records; r != 0 {
+			t.Errorf("%s: out-of-reach exact measures persisted %d table records", sp, r)
+		}
 	}
 }

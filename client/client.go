@@ -254,14 +254,9 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // failures retry under the client's backoff policy — /v1/eval is
 // deterministic, so a retried batch answers bit-identically.
 func (c *Client) Eval(ctx context.Context, queries []probequorum.Query) ([]*probequorum.Result, error) {
-	for i, q := range queries {
-		if q.System != nil {
-			return nil, requestErrorf("query %d holds a System value; remote queries must name systems by Spec", i)
-		}
-	}
-	body, err := json.Marshal(probeserve.EvalRequest{Queries: queries})
+	body, err := encodeBatch(queries)
 	if err != nil {
-		return nil, fmt.Errorf("client: encode eval request: %w", err)
+		return nil, err
 	}
 	var resp probeserve.EvalResponse
 	if err := c.doJSON(ctx, http.MethodPost, c.base+"/v1/eval", body, &resp); err != nil {
@@ -271,6 +266,23 @@ func (c *Client) Eval(ctx context.Context, queries []probequorum.Query) ([]*prob
 		return nil, protocolErrorf("got %d results for %d queries", len(resp.Results), len(queries))
 	}
 	return resp.Results, nil
+}
+
+// encodeBatch validates a query batch for the wire and encodes the
+// request body both /v1/eval and /v1/stream take. A query holding a
+// System value is refused with a *RequestError: a System cannot cross
+// the wire.
+func encodeBatch(queries []probequorum.Query) ([]byte, error) {
+	for i, q := range queries {
+		if q.System != nil {
+			return nil, requestErrorf("query %d holds a System value; remote queries must name systems by Spec", i)
+		}
+	}
+	body, err := json.Marshal(probeserve.EvalRequest{Queries: queries})
+	if err != nil {
+		return nil, fmt.Errorf("client: encode request: %w", err)
+	}
+	return body, nil
 }
 
 // maxStreamLineBytes bounds one NDJSON frame the streaming reader will
@@ -305,15 +317,9 @@ var errStreamConsumerStopped = errors.New("client: stream consumer stopped")
 // the server-side evaluation.
 func (c *Client) StreamEval(ctx context.Context, queries []probequorum.Query) iter.Seq2[probequorum.Cell, error] {
 	return func(yield func(probequorum.Cell, error) bool) {
-		for i, q := range queries {
-			if q.System != nil {
-				yield(probequorum.Cell{}, fmt.Errorf("client: query %d holds a System value; remote queries must name systems by Spec", i))
-				return
-			}
-		}
-		body, err := json.Marshal(probeserve.EvalRequest{Queries: queries})
+		body, err := encodeBatch(queries)
 		if err != nil {
-			yield(probequorum.Cell{}, fmt.Errorf("client: encode stream request: %w", err))
+			yield(probequorum.Cell{}, err)
 			return
 		}
 		delivered := 0

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -138,6 +139,10 @@ func TestEvalRejectsSystemValues(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Spec") {
 		t.Errorf("err = %v, want a Spec-required error", err)
 	}
+	var reqErr *client.RequestError
+	if !errors.As(err, &reqErr) {
+		t.Errorf("err = %T, want *client.RequestError", err)
+	}
 }
 
 func TestSystemsRenderHealth(t *testing.T) {
@@ -244,6 +249,10 @@ func TestStreamEvalRejectsSystemValues(t *testing.T) {
 	}
 	if got == nil || !strings.Contains(got.Error(), "Spec") {
 		t.Errorf("err = %v, want a Spec-required error", got)
+	}
+	var reqErr *client.RequestError
+	if !errors.As(got, &reqErr) {
+		t.Errorf("err = %T, want *client.RequestError", got)
 	}
 }
 

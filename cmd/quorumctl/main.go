@@ -75,18 +75,22 @@ func main() {
 			os.Exit(runSystems(os.Args[2:]))
 		}
 	}
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+// run is the inspect report: the system's shape, availability and
+// probe cost, plus its layout, minimal quorums (-enumerate) and the
+// nondominated-coterie check (-check) on request.
+func run(args []string) int {
+	fs := flag.NewFlagSet("quorumctl", flag.ExitOnError)
 	var (
-		system    = flag.String("system", "", "system spec, e.g. maj:7 | cw:1,3,2 | triang:4 | tree:3 | hqs:2 | vote:3,1,1,2 | recmaj:3x2 | wheel:8")
-		p         = flag.Float64("p", 0.1, "failure probability for the availability report")
-		enumerate = flag.Bool("enumerate", false, "list all minimal quorums (small systems)")
-		check     = flag.Bool("check", false, "verify the nondominated-coterie property (small systems)")
-		specs     = flag.Bool("specs", false, "list the registered construction names and exit")
+		system    = fs.String("system", "", "system spec, e.g. maj:7 | cw:1,3,2 | triang:4 | tree:3 | hqs:2 | vote:3,1,1,2 | recmaj:3x2 | wheel:8")
+		p         = fs.Float64("p", 0.1, "failure probability for the availability report")
+		enumerate = fs.Bool("enumerate", false, "list all minimal quorums (small systems)")
+		check     = fs.Bool("check", false, "verify the nondominated-coterie property (small systems)")
+		specs     = fs.Bool("specs", false, "list the registered construction names and exit")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *specs {
 		fmt.Println(strings.Join(probequorum.SpecNames(), "\n"))
@@ -130,8 +134,13 @@ func run() int {
 	}
 
 	if *enumerate {
+		qs, err := quorum.EnumerateQuorums(sys)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "quorumctl:", err)
+			return 1
+		}
 		fmt.Println("\nminimal quorums:")
-		for _, q := range sys.Quorums() {
+		for _, q := range qs {
 			fmt.Println(" ", q)
 		}
 	}
@@ -297,6 +306,9 @@ func printResult(res *probequorum.Result) {
 	}
 	if res.PC != nil {
 		fmt.Printf("PC:      %d worst-case probes\n", *res.PC)
+	}
+	if res.Resilience != nil {
+		fmt.Printf("resilience: %d crash failures tolerated\n", *res.Resilience)
 	}
 	if res.Trials > 0 {
 		fmt.Printf("mc:      %d trials, seed %d\n", res.Trials, res.Seed)

@@ -111,3 +111,35 @@ func TestEvalQueryMatchesFacade(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalPrintsResilience pins the human table of the resilience
+// measure: it carries the value the -json encoding does.
+func TestEvalPrintsResilience(t *testing.T) {
+	out := captureStdout(t, func() {
+		if code := runEval([]string{"-system", "maj:9", "-measures", "resilience"}); code != 0 {
+			t.Errorf("eval exited %d", code)
+		}
+	})
+	if !strings.Contains(out, "resilience: 4 ") {
+		t.Errorf("eval -measures resilience printed no resilience line:\n%s", out)
+	}
+}
+
+// TestEnumerateRefusesInfeasibleSystems drives -enumerate on systems
+// whose minimal quorums cannot be listed: the inspect report must exit
+// 1 with an error instead of panicking, and a listable system must still
+// print its quorums.
+func TestEnumerateRefusesInfeasibleSystems(t *testing.T) {
+	for _, sp := range []string{"hqs:4", "maj:31"} {
+		var code int
+		out := captureStdout(t, func() { code = run([]string{"-system", sp, "-enumerate"}) })
+		if code != 1 || strings.Contains(out, "minimal quorums:") {
+			t.Errorf("%s -enumerate exited %d, want 1 with no quorum listing", sp, code)
+		}
+	}
+	var code int
+	out := captureStdout(t, func() { code = run([]string{"-system", "maj:3", "-enumerate"}) })
+	if code != 0 || !strings.Contains(out, "minimal quorums:\n  {1, 2}\n") {
+		t.Errorf("maj:3 -enumerate exited %d:\n%s", code, out)
+	}
+}

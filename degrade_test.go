@@ -8,6 +8,7 @@ package probequorum_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"testing"
@@ -61,12 +62,13 @@ func (o opaqueMaj) ProbeWitness(oc probequorum.Oracle) probequorum.Witness {
 }
 
 // degradedQuery is an exact workload that cannot finish inside 1ms: the
-// n=25 witness table (a 2^25 characteristic-function scan) and the DP
-// memos over it take far longer, while the Monte Carlo fallbacks need
-// only the wide-mask view and the probing strategy.
+// pc DP over the 3^13 knowledge states of n = 13 takes about 100ms, and
+// once it has spent the budget the ppc and availability artifacts find
+// it gone, while the Monte Carlo fallbacks need only the wide-mask view
+// and the probing strategy.
 func degradedQuery() probequorum.Query {
 	return probequorum.Query{
-		System: opaqueMaj{25},
+		System: opaqueMaj{13},
 		Measures: []probequorum.Measure{
 			probequorum.MeasurePC,
 			probequorum.MeasurePPC,
@@ -133,7 +135,7 @@ func TestDeadlineDegradesToEstimates(t *testing.T) {
 			t.Errorf("%s estimate = %+v, want positive trials and a CI", m, *d.Estimate)
 		}
 	}
-	if ppc := got[probequorum.MeasurePPC].Estimate; ppc.Mean < 1 || ppc.Mean > 25 {
+	if ppc := got[probequorum.MeasurePPC].Estimate; ppc.Mean < 1 || ppc.Mean > 13 {
 		t.Errorf("ppc fallback mean = %v, want within [1, n]", ppc.Mean)
 	}
 	if av := got[probequorum.MeasureAvailability].Estimate; av.Mean < 0 || av.Mean > 1 {
@@ -174,6 +176,23 @@ func TestDeadlineDegradationDeterministic(t *testing.T) {
 	}
 	if avail1 != avail2 {
 		t.Errorf("availability fallback not deterministic: %+v vs %+v", avail1, avail2)
+	}
+}
+
+// TestDeadlineKeepsBoundErrors pins that a deadline degrades only exact
+// work it cuts short: pc and ppc past the DP bound (n = 25) answer the
+// bound error at once, as they do without a deadline, instead of
+// degrading.
+func TestDeadlineKeepsBoundErrors(t *testing.T) {
+	eval := probequorum.NewEvaluator()
+	for _, m := range []probequorum.Measure{probequorum.MeasurePC, probequorum.MeasurePPC} {
+		q := degradedQuery()
+		q.System, q.Measures = opaqueMaj{25}, []probequorum.Measure{m}
+		_, err := eval.Do(context.Background(), q)
+		var be *probequorum.BoundError
+		if !errors.As(err, &be) || be.Max != 18 {
+			t.Errorf("%s of OpaqueMaj(25) under a deadline: err = %v, want the DP bound error", m, err)
+		}
 	}
 }
 

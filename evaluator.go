@@ -15,7 +15,6 @@ import (
 	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
 	"probequorum/internal/core"
-	"probequorum/internal/des"
 	"probequorum/internal/probe"
 	"probequorum/internal/quorum"
 	"probequorum/internal/rw"
@@ -72,45 +71,6 @@ type Evaluator struct {
 	// fixed order memo → approx → store → compute.
 	artifacts *store.Store
 	approx    *approx.Cache
-
-	// scenMu guards scenarios, the session memo of compiled temporal
-	// scenario plans: queries repeating a (latency, churn, discipline)
-	// tuple — a sweep, a long-lived server — share one compiled plan.
-	scenMu    sync.Mutex
-	scenarios map[string]*des.Scenario
-}
-
-// evaluatorMaxScenarios bounds the compiled-scenario memo; a compiled
-// plan is tiny, so the bound only guards servers fed unbounded distinct
-// scenario strings.
-const evaluatorMaxScenarios = 256
-
-// scenario compiles the query's temporal scenario, memoized per session
-// by the raw option tuple. The query is already normalized, so Compile
-// cannot fail here on the session's own queries; the error path covers
-// direct callers.
-func (e *Evaluator) scenario(q Query) (*des.Scenario, error) {
-	o := q.timedOptions()
-	raw := fmt.Sprintf("%s|%s|%d|%g|%g|%t", o.Latency, o.Churn, o.Window, o.HedgeMS, o.DeadlineMS, o.Randomized)
-	e.scenMu.Lock()
-	if sc, ok := e.scenarios[raw]; ok {
-		e.scenMu.Unlock()
-		return sc, nil
-	}
-	e.scenMu.Unlock()
-	sc, err := des.Compile(o)
-	if err != nil {
-		return nil, err
-	}
-	e.scenMu.Lock()
-	defer e.scenMu.Unlock()
-	if e.scenarios == nil {
-		e.scenarios = map[string]*des.Scenario{}
-	}
-	if len(e.scenarios) < evaluatorMaxScenarios {
-		e.scenarios[raw] = sc
-	}
-	return sc, nil
 }
 
 // evalEntry is the per-system cache. Its mutex guards the memo and the
@@ -340,6 +300,9 @@ func (e *Evaluator) ProbeComplexity(sys System) (int, error) {
 // leader hands the build to the waiting followers.
 func (e *Evaluator) ProbeComplexityCtx(ctx context.Context, sys System) (int, error) {
 	return artifact(ctx, e, sys, artifactKey{kind: artifactPC}, func(ctx context.Context) (int, error) {
+		if err := strategy.CheckUniverse(sys.Size()); err != nil {
+			return 0, err
+		}
 		table, err := e.WitnessTableCtx(ctx, sys)
 		if err != nil {
 			return 0, err
@@ -360,6 +323,9 @@ func (e *Evaluator) AverageProbeComplexity(sys System, p float64) (float64, erro
 // and caches nothing.
 func (e *Evaluator) AverageProbeComplexityCtx(ctx context.Context, sys System, p float64) (float64, error) {
 	return artifact(ctx, e, sys, artifactKey{kind: artifactPPC, p: p}, func(ctx context.Context) (float64, error) {
+		if err := strategy.CheckUniverse(sys.Size()); err != nil {
+			return 0, err
+		}
 		table, err := e.WitnessTableCtx(ctx, sys)
 		if err != nil {
 			return 0, err
@@ -377,6 +343,9 @@ func (e *Evaluator) OptimalStrategyTree(sys System) (*StrategyNode, error) {
 // OptimalStrategyTreeCtx is OptimalStrategyTree honoring cancellation
 // across the solve and the tree descent.
 func (e *Evaluator) OptimalStrategyTreeCtx(ctx context.Context, sys System) (*StrategyNode, error) {
+	if err := strategy.CheckUniverse(sys.Size()); err != nil {
+		return nil, err
+	}
 	table, err := e.WitnessTableCtx(ctx, sys)
 	if err != nil {
 		return nil, err

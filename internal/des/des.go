@@ -76,7 +76,7 @@ type Options struct {
 // Scenario is a compiled temporal scenario: parsed latency and churn
 // models plus the validated discipline parameters. Compile once and
 // share freely — a Scenario is immutable and safe for concurrent use;
-// the façade memoizes compiled scenarios per session by Key.
+// the façade compiles one per timed query, while validating it.
 type Scenario struct {
 	latency Latency
 	churn   Churn
@@ -123,8 +123,8 @@ func Compile(o Options) (*Scenario, error) {
 	}, nil
 }
 
-// Key returns the canonical memoization key of the compiled scenario:
-// two Options compiling to the same models and parameters share it.
+// Key returns the canonical name of the compiled scenario: two Options
+// compiling to the same models and parameters share it.
 func (s *Scenario) Key() string { return s.key }
 
 // DeadlineMS returns the scenario's reach deadline (0 when none).

@@ -203,8 +203,7 @@ func (t *WitnessTable) Words() []uint64 { return t.bits }
 
 // TableFromWords reconstructs a witness table from serialized backing
 // words — the deserialization dual of Words. The word slice is adopted,
-// not copied, so a table loaded from a shared mapping costs no copy; it
-// must hold exactly the 2^n bits of an n-element table.
+// not copied, and must hold exactly the 2^n bits of an n-element table.
 func TableFromWords(n int, words []uint64) (*WitnessTable, error) {
 	if n < 0 || n > MaxTableUniverse {
 		return nil, &BoundError{Op: "quorum: witness table", N: n, Max: MaxTableUniverse}

@@ -196,6 +196,23 @@ func SetOfWords(n int, words []uint64) *bitset.Set {
 // synchronization).
 var EnumerationBudget = 1 << 16
 
+// EnumerateQuorums is sys.Quorums() with the panics of
+// enumeration-hostile systems (wide Maj, tall HQS, over-budget
+// transversal roles) converted to errors, and EnumerationBudget applied
+// to the returned family.
+func EnumerateQuorums(sys System) (qs []*bitset.Set, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("quorum: enumerating the quorums of %s: %v", sys.Name(), r)
+		}
+	}()
+	qs = sys.Quorums()
+	if len(qs) > EnumerationBudget {
+		return nil, &BudgetError{Name: sys.Name(), Count: len(qs), Budget: EnumerationBudget}
+	}
+	return qs, nil
+}
+
 // BudgetError reports that enumeration-based mask adaptation was refused
 // because the system enumerates more minimal quorums than
 // EnumerationBudget allows.

@@ -31,7 +31,7 @@ func BalanceLoad(sys quorum.System, maxRounds int, gapTarget float64) (*Strategy
 	if maxRounds <= 0 {
 		return nil, 0, fmt.Errorf("rw: balance rounds must be positive, got %d", maxRounds)
 	}
-	qs, err := enumerateQuorums(sys)
+	qs, err := quorum.EnumerateQuorums(sys)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -31,7 +31,7 @@ func ResilientQuorums(ctx context.Context, sys quorum.System, f int) ([]*bitset.
 		return nil, fmt.Errorf("rw: negative resilience requirement f=%d", f)
 	}
 	if f == 0 {
-		return enumerateQuorums(sys)
+		return quorum.EnumerateQuorums(sys)
 	}
 	n := sys.Size()
 	if n > MaxResilientUniverse {

@@ -58,7 +58,7 @@ func (c *Choose) ContainsQuorumWords(words []uint64) bool {
 
 // Quorums implements quorum.System by enumerating the k-subsets with
 // Gosper's hack. It panics beyond the enumeration budget or one word;
-// use enumerateQuorums for the error-returning form.
+// use quorum.EnumerateQuorums for the error-returning form.
 func (c *Choose) Quorums() []*bitset.Set {
 	if c.n > quorum.MaskWords {
 		panic(fmt.Sprintf("rw: Choose enumeration requires n <= %d, got %d", quorum.MaskWords, c.n))
@@ -250,7 +250,7 @@ func (g *gridTransversal) ContainsQuorumWords(words []uint64) bool {
 }
 
 // Quorums enumerates the c^r one-per-row transversals. It panics beyond
-// the enumeration budget; use enumerateQuorums for the error form.
+// the enumeration budget; use quorum.EnumerateQuorums for the error form.
 func (g *gridTransversal) Quorums() []*bitset.Set {
 	if pow := powAbove(g.c, g.r, quorum.EnumerationBudget); pow {
 		panic(fmt.Sprintf("rw: GridTransversal(%dx%d) enumerates more than %d quorums", g.r, g.c, quorum.EnumerationBudget))

@@ -232,7 +232,7 @@ func CheckDuality(reads, writes quorum.System) error {
 	if err != nil {
 		return fmt.Errorf("rw: duality check needs a wide mask view of the read role: %w", err)
 	}
-	writeQs, err := enumerateQuorums(writes)
+	writeQs, err := quorum.EnumerateQuorums(writes)
 	if err != nil {
 		return fmt.Errorf("rw: duality check needs the write quorums enumerated: %w", err)
 	}
@@ -247,20 +247,4 @@ func CheckDuality(reads, writes quorum.System) error {
 		}
 	}
 	return nil
-}
-
-// enumerateQuorums is Quorums with the panics of enumeration-hostile
-// systems (wide Maj, over-budget transversal roles) converted to errors,
-// and the quorum.EnumerationBudget applied to the returned family.
-func enumerateQuorums(sys quorum.System) (qs []*bitset.Set, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("rw: enumerating the quorums of %s: %v", sys.Name(), r)
-		}
-	}()
-	qs = sys.Quorums()
-	if len(qs) > quorum.EnumerationBudget {
-		return nil, &quorum.BudgetError{Name: sys.Name(), Count: len(qs), Budget: quorum.EnumerationBudget}
-	}
-	return qs, nil
 }

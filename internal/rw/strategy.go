@@ -240,7 +240,7 @@ func roleQuorums(ctx context.Context, role quorum.System, f int) ([]*bitset.Set,
 	if f > 0 {
 		return ResilientQuorums(ctx, role, f)
 	}
-	return enumerateQuorums(role)
+	return quorum.EnumerateQuorums(role)
 }
 
 // Uniform returns the strategy that picks uniformly among each role's

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"unsafe"
 
 	"probequorum/internal/bitset"
 	"probequorum/internal/quorum"
@@ -91,26 +90,29 @@ func (s *Store) GetFloats(kind, key string) ([]float64, bool) {
 }
 
 // PutTable persists one witness table (the "table" kind): the universe
-// size followed by the raw 2^n table bits, 8-aligned so a mapped load
-// can adopt the words without a copy.
+// size followed by the 2^n table bits as little-endian words.
 func (s *Store) PutTable(kind, key string, t *quorum.WitnessTable) error {
 	words := t.Words()
 	payload := make([]byte, 8+8*len(words))
 	binary.LittleEndian.PutUint64(payload, uint64(t.Size()))
-	copy(payload[8:], bytesOfWords(words))
+	for i, w := range words {
+		binary.LittleEndian.PutUint64(payload[8+8*i:], w)
+	}
 	return s.Put(kind, key, payload)
 }
 
-// GetTable loads one witness table. A mapped payload backs the table's
-// words directly (read-only by the WitnessTable contract), so a warm
-// fleet shares one page-cache copy of each big table.
+// GetTable loads one witness table bit-identically.
 func (s *Store) GetTable(kind, key string) (*quorum.WitnessTable, bool) {
 	payload, ok := s.Get(kind, key)
 	if !ok || len(payload) < 8 || len(payload)%8 != 0 {
 		return nil, false
 	}
 	n := int(binary.LittleEndian.Uint64(payload))
-	t, err := quorum.TableFromWords(n, wordsOfBytes(payload[8:]))
+	words := make([]uint64, len(payload)/8-1)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(payload[8+8*i:])
+	}
+	t, err := quorum.TableFromWords(n, words)
 	if err != nil {
 		return nil, false
 	}
@@ -209,30 +211,4 @@ func setOfWords(n int, words []uint64) (*bitset.Set, error) {
 		return nil, fmt.Errorf("store: mask bits above universe size %d", n)
 	}
 	return quorum.SetOfWords(n, words), nil
-}
-
-// bytesOfWords views a word slice as its little-endian byte image
-// without a copy (the store is little-endian on disk; this package only
-// targets little-endian hosts, as the repo's engines already assume).
-func bytesOfWords(words []uint64) []byte {
-	if len(words) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), 8*len(words))
-}
-
-// wordsOfBytes is the inverse view for 8-aligned payloads; misaligned
-// payloads (a plain read landing off-boundary) fall back to a copy.
-func wordsOfBytes(b []byte) []uint64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	words := make([]uint64, len(b)/8)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return words
 }

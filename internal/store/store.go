@@ -1,6 +1,6 @@
 // Package store is the persistent artifact tier below the Evaluator's
-// session memos: an on-disk, mmap-able record store for the expensive
-// derived artifacts — witness tables, exact DP results, availability
+// session memos: an on-disk record store for the expensive derived
+// artifacts — witness tables, exact DP results, availability
 // polynomial coefficients, optimized read/write strategies — keyed by
 // canonical spec, artifact kind and engine version, so a restarted or
 // horizontally-scaled fleet sharing one store directory warms instantly
@@ -25,7 +25,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -64,10 +63,6 @@ var tmpSeq atomic.Uint64
 type Store struct {
 	dir    string
 	engine uint32
-
-	mu       sync.Mutex
-	mappings map[string][]byte // live mmap regions by record path, reused on re-Get, released by Close
-	retired  [][]byte          // mappings detached by Clear, still backing returned payloads until Close
 
 	// Lock-free operation counters, snapshotted by Stats.
 	hits, misses, corrupt, writes, writeErrs atomic.Uint64
@@ -143,8 +138,8 @@ func (s *Store) put(kind, key string, payload []byte) error {
 }
 
 // encodeRecord lays out one record image: fixed header, key, padding to
-// an 8-byte boundary, payload — so a mapped payload is always 8-aligned
-// and can back []uint64 views directly.
+// an 8-byte boundary, payload. Nothing reads the padding; it is kept so
+// the record format stays the one earlier stores wrote.
 func encodeRecord(engine uint32, key string, payload []byte) []byte {
 	off := payloadOffset(len(key))
 	data := make([]byte, off+len(payload))
@@ -175,10 +170,8 @@ func checksum(key string, payload []byte) uint64 {
 // — absent file, truncation, checksum or key or engine-version
 // mismatch, oversized file — is a miss; damaged records are counted but
 // never block the caller, which recomputes and republishes over them.
-// Large payloads arrive through a shared read-only memory mapping where
-// the platform provides one (the mapping lives until Close, so a fleet
-// sharing a store dir shares page cache too); the caller must treat the
-// returned bytes as immutable either way.
+// The payload is read into a fresh buffer the caller owns, so it stays
+// valid after Clear and Close.
 func (s *Store) Get(kind, key string) ([]byte, bool) {
 	payload, ok, damaged := s.load(kind, key)
 	if damaged {
@@ -194,14 +187,6 @@ func (s *Store) Get(kind, key string) ([]byte, bool) {
 
 func (s *Store) load(kind, key string) (payload []byte, ok, damaged bool) {
 	path := s.path(kind, key)
-	if prev, found := s.mapping(path); found {
-		// An earlier Get already mapped and verified this record file;
-		// serve the established mapping instead of mapping the file again,
-		// so repeated Gets never grow the mapping set. A decode failure
-		// here is the colliding-key miss the path comment documents.
-		payload, ok = decodeRecord(prev, s.engine, key)
-		return payload, ok, false
-	}
 	fi, err := os.Stat(path)
 	if err != nil {
 		return nil, false, false
@@ -209,7 +194,7 @@ func (s *Store) load(kind, key string) (payload []byte, ok, damaged bool) {
 	if fi.Size() < headerSize || fi.Size() > maxRecordBytes {
 		return nil, false, true
 	}
-	data, mapped, err := readRecordFile(path, fi.Size())
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, true
 	}
@@ -217,48 +202,10 @@ func (s *Store) load(kind, key string) (payload []byte, ok, damaged bool) {
 	if !ok {
 		// An unreadable record under the right filename is damage unless
 		// it was written by another engine version, which is the designed
-		// upgrade miss. The verdict must be read off data before the
-		// mapping is released — afterwards data is unmapped memory.
-		vm := isVersionMiss(data, s.engine)
-		if mapped {
-			unmapFile(data)
-		}
-		return nil, false, !vm
-	}
-	if mapped {
-		if prev, dup := s.register(path, data); dup {
-			// A concurrent Get mapped this record first; keep its mapping
-			// and release ours, re-deriving the payload from the survivor.
-			unmapFile(data)
-			payload, ok = decodeRecord(prev, s.engine, key)
-			return payload, ok, false
-		}
+		// upgrade miss.
+		return nil, false, !isVersionMiss(data, s.engine)
 	}
 	return payload, true, false
-}
-
-// mapping returns the live mapping registered for a record path, if any.
-func (s *Store) mapping(path string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.mappings[path]
-	return m, ok
-}
-
-// register records a fresh mapping for path unless one is already live,
-// in which case the existing mapping is returned and the caller must
-// release its own.
-func (s *Store) register(path string, data []byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.mappings[path]; ok {
-		return prev, true
-	}
-	if s.mappings == nil {
-		s.mappings = map[string][]byte{}
-	}
-	s.mappings[path] = data
-	return nil, false
 }
 
 // decodeRecord validates a record image end to end and returns its
@@ -297,16 +244,9 @@ func isVersionMiss(data []byte, engine uint32) bool {
 }
 
 // Clear removes every published record (temp files of in-flight writers
-// included) and retires the live mappings so later Gets consult the disk
-// afresh; reads against already-returned payloads remain valid until
-// Close.
+// included). Payloads already returned by Get are heap copies and stay
+// valid.
 func (s *Store) Clear() error {
-	s.mu.Lock()
-	for _, m := range s.mappings {
-		s.retired = append(s.retired, m)
-	}
-	s.mappings = nil
-	s.mu.Unlock()
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -324,21 +264,10 @@ func (s *Store) Clear() error {
 	return firstErr
 }
 
-// Close releases the store's memory mappings. Payload slices returned
-// by Get must not be used afterwards.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	mappings, retired := s.mappings, s.retired
-	s.mappings, s.retired = nil, nil
-	s.mu.Unlock()
-	for _, m := range mappings {
-		unmapFile(m)
-	}
-	for _, m := range retired {
-		unmapFile(m)
-	}
-	return nil
-}
+// Close ends the caller's use of the store. A store holds no open files
+// or memory between calls, so there is nothing to release, and payloads
+// returned by Get stay valid after it.
+func (s *Store) Close() error { return nil }
 
 // KindStats is the on-disk footprint of one artifact kind.
 type KindStats struct {

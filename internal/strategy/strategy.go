@@ -48,6 +48,17 @@ import (
 // pointer-chasing map the legacy programs would need at this size.
 const MaxUniverse = 18
 
+// CheckUniverse returns the exact dynamic programs' BoundError for an
+// n-element universe, or nil when n is within MaxUniverse. Callers that
+// build a witness table for a DP check it first, so an out-of-reach
+// system never pays for a table.
+func CheckUniverse(n int) error {
+	if n > MaxUniverse {
+		return &quorum.BoundError{Op: "strategy: exact probe-complexity DP", N: n, Max: MaxUniverse}
+	}
+	return nil
+}
+
 // maxFloat64States bounds the full-precision PPC memo: universes with 3^n
 // at most this many states (n <= 16) memoize float64 values; n = 17 and 18
 // drop to float32 cells (~1e-7 relative error against exponentially more
@@ -83,8 +94,8 @@ func newEngine(sys quorum.System) (*engine, error) {
 // evaluation happens once per system instead of once per call.
 func newEngineWith(ctx context.Context, sys quorum.System, table *quorum.WitnessTable) (*engine, error) {
 	n := sys.Size()
-	if n > MaxUniverse {
-		return nil, &quorum.BoundError{Op: "strategy: exact probe-complexity DP", N: n, Max: MaxUniverse}
+	if err := CheckUniverse(n); err != nil {
+		return nil, err
 	}
 	if table == nil {
 		var err error

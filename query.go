@@ -301,14 +301,15 @@ func (q Query) writeCaps() []float64 {
 
 // normalized validates the query and returns a canonical copy: measures
 // lower-cased, deduplicated and checked, the p grid checked, and the
-// spec trimmed.
-func (q Query) normalized() (Query, error) {
+// spec trimmed. A query requesting a timed measure also gets its
+// compiled temporal scenario (nil otherwise).
+func (q Query) normalized() (Query, *des.Scenario, error) {
 	q.Spec = strings.TrimSpace(q.Spec)
 	if q.System == nil && q.Spec == "" {
-		return q, queryErrorf("query names no system (set Spec or System)")
+		return q, nil, queryErrorf("query names no system (set Spec or System)")
 	}
 	if len(q.Measures) == 0 {
-		return q, queryErrorf("query requests no measures (known: %s)", knownMeasureList())
+		return q, nil, queryErrorf("query requests no measures (known: %s)", knownMeasureList())
 	}
 	var ms []Measure
 	seen := map[Measure]bool{}
@@ -316,7 +317,7 @@ func (q Query) normalized() (Query, error) {
 	for _, m := range q.Measures {
 		m = Measure(strings.TrimSpace(strings.ToLower(string(m))))
 		if !m.valid() {
-			return q, queryErrorf("unknown measure %q (known: %s)", m, knownMeasureList())
+			return q, nil, queryErrorf("unknown measure %q (known: %s)", m, knownMeasureList())
 		}
 		if seen[m] {
 			continue
@@ -327,7 +328,7 @@ func (q Query) normalized() (Query, error) {
 	}
 	q.Measures = ms
 	if needP && len(q.Ps) == 0 {
-		return q, queryErrorf("measures %v need a probability grid (set Ps)", q.Measures)
+		return q, nil, queryErrorf("measures %v need a probability grid (set Ps)", q.Measures)
 	}
 	if !needP {
 		// No p-dependent measure: the grid is inert, so drop it rather
@@ -337,7 +338,7 @@ func (q Query) normalized() (Query, error) {
 	for _, p := range q.Ps {
 		// The negated form rejects NaN, which both plain comparisons miss.
 		if !(p >= 0 && p <= 1) {
-			return q, queryErrorf("probability %v out of [0,1]", p)
+			return q, nil, queryErrorf("probability %v out of [0,1]", p)
 		}
 	}
 	needFr := false
@@ -345,7 +346,7 @@ func (q Query) normalized() (Query, error) {
 		needFr = needFr || m.perFr()
 	}
 	if needFr && len(q.ReadFractions) == 0 {
-		return q, queryErrorf("measures %v need a read-fraction grid (set ReadFractions)", q.Measures)
+		return q, nil, queryErrorf("measures %v need a read-fraction grid (set ReadFractions)", q.Measures)
 	}
 	if !needFr {
 		// No planner measure: the read-fraction grid is inert, so drop it
@@ -357,7 +358,7 @@ func (q Query) normalized() (Query, error) {
 	for _, fr := range q.ReadFractions {
 		// The negated form rejects NaN, which both plain comparisons miss.
 		if !(fr >= 0 && fr <= 1) {
-			return q, queryErrorf("read fraction %v out of [0,1]", fr)
+			return q, nil, queryErrorf("read fraction %v out of [0,1]", fr)
 		}
 	}
 	for role, caps := range map[string][]float64{
@@ -365,24 +366,24 @@ func (q Query) normalized() (Query, error) {
 	} {
 		for i, c := range caps {
 			if !(c > 0) || math.IsInf(c, 0) {
-				return q, queryErrorf("%scapacity of node %d is %v; want a positive finite value", role, i, c)
+				return q, nil, queryErrorf("%scapacity of node %d is %v; want a positive finite value", role, i, c)
 			}
 		}
 	}
 	if q.F < 0 {
-		return q, queryErrorf("negative resilience requirement f=%d", q.F)
+		return q, nil, queryErrorf("negative resilience requirement f=%d", q.F)
 	}
 	if q.Trials < 0 {
-		return q, queryErrorf("negative trial count %d", q.Trials)
+		return q, nil, queryErrorf("negative trial count %d", q.Trials)
 	}
 	if q.Trials > MaxQueryTrials {
-		return q, queryErrorf("trial count %d exceeds the per-query cap %d", q.Trials, MaxQueryTrials)
+		return q, nil, queryErrorf("trial count %d exceeds the per-query cap %d", q.Trials, MaxQueryTrials)
 	}
 	if math.IsNaN(q.Tolerance) {
-		return q, queryErrorf("tolerance is NaN")
+		return q, nil, queryErrorf("tolerance is NaN")
 	}
 	if q.DeadlineMS < 0 {
-		return q, queryErrorf("negative deadline %dms", q.DeadlineMS)
+		return q, nil, queryErrorf("negative deadline %dms", q.DeadlineMS)
 	}
 	if q.Tolerance < 0 {
 		// Negative means "disabled", same as zero; canonicalize so the
@@ -393,17 +394,19 @@ func (q Query) normalized() (Query, error) {
 	switch q.TimedStrategy {
 	case "", "d", "r":
 	default:
-		return q, queryErrorf("unknown timed strategy %q (known: d, r)", q.TimedStrategy)
+		return q, nil, queryErrorf("unknown timed strategy %q (known: d, r)", q.TimedStrategy)
 	}
-	if q.hasTimed() {
-		if _, err := des.Compile(q.timedOptions()); err != nil {
-			return q, queryErrorf("bad timed scenario: %v", err)
-		}
-		if q.has(MeasureTimedReach) && !(q.TimedDeadlineMS > 0) {
-			return q, queryErrorf("measure timed-reach needs a positive virtual deadline (set TimedDeadlineMS)")
-		}
+	if !q.hasTimed() {
+		return q, nil, nil
 	}
-	return q, nil
+	scen, err := des.Compile(q.timedOptions())
+	if err != nil {
+		return q, nil, queryErrorf("bad timed scenario: %v", err)
+	}
+	if q.has(MeasureTimedReach) && !(q.TimedDeadlineMS > 0) {
+		return q, nil, queryErrorf("measure timed-reach needs a positive virtual deadline (set TimedDeadlineMS)")
+	}
+	return q, scen, nil
 }
 
 // hasTimed reports whether the normalized query requests any temporal

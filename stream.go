@@ -527,7 +527,7 @@ func (e *Evaluator) pointCell(exactCtx context.Context, sys System, c Cell, tol 
 // it. A measure that panics (a third-party System gone wrong) fails the
 // query with a *PanicError instead of taking down the process.
 func (e *Evaluator) streamOne(ctx context.Context, idx int, q Query, emit func(Cell) bool) error {
-	nq, err := q.normalized()
+	nq, scen, err := q.normalized()
 	if err != nil {
 		return err
 	}
@@ -558,13 +558,6 @@ func (e *Evaluator) streamOne(ctx context.Context, idx int, q Query, emit func(C
 	if adaptive {
 		trials = budget
 	}
-	var scen *des.Scenario
-	if nq.hasTimed() {
-		if scen, err = e.scenario(nq); err != nil {
-			return queryErrorf("bad timed scenario: %v", err)
-		}
-	}
-
 	// Exact solves run under the deadline budget; the fallbacks and the
 	// estimate measure run under the caller's ctx, so a query keeps
 	// degrading point after point once its budget is gone. degraded
