@@ -727,3 +727,60 @@ func TestExactMeasuresCheckDPBoundFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestAvailabilityPersistsOnlyThePolynomial pins that exact availability
+// of a system without a closed form keeps only its n+1 failure counts:
+// the 2^n witness table they come from is neither memoized (no "table"
+// build) nor persisted (no table record; at n = 25 it is 4 MiB), and a
+// restarted session answers bit-identically from the availpoly record
+// alone.
+func TestAvailabilityPersistsOnlyThePolynomial(t *testing.T) {
+	const sp = "grid:5x5"
+	ps := []float64{0.1, 0.3}
+	ctx := context.Background()
+	dir := t.TempDir()
+	st, err := probequorum.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := probequorum.NewEvaluator(probequorum.WithStore(st))
+	q := probequorum.Query{Spec: sp, Measures: []probequorum.Measure{probequorum.MeasureAvailability}, Ps: ps}
+	want, err := cold.Do(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := cold.Stats().Builds; b["table"] != 0 || b["availpoly"] != 1 {
+		t.Errorf("builds = %v, want one availpoly and no table", b)
+	}
+	stats, err := st.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := stats.Kinds["table"].Records; r != 0 {
+		t.Errorf("availability persisted %d table records", r)
+	}
+	if r := stats.Kinds["availpoly"].Records; r != 1 {
+		t.Errorf("availability persisted %d availpoly records, want 1", r)
+	}
+	st.Close()
+
+	st, err = probequorum.OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	warm := probequorum.NewEvaluator(probequorum.WithStore(st))
+	got, err := warm.Do(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := totalBuilds(warm); b != 0 {
+		t.Errorf("restarted session built %d artifacts, want 0: %v", b, warm.Stats().Builds)
+	}
+	for _, p := range ps {
+		g, w := *got.Point(p).Availability, *want.Point(p).Availability
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("p=%v: restarted availability %v, want %v bit-identical", p, g, w)
+		}
+	}
+}

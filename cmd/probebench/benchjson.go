@@ -273,12 +273,6 @@ func benchOps() []benchOp {
 		{name: "sim/Estimate-wide/Maj1025x2000", probes: wideProbes("maj:1025", 2000), fn: wideEstimateOp("maj:1025", 2000)},
 		{name: "sim/Estimate-wide/Tree6x2000", probes: wideProbes("tree:6", 2000), fn: wideEstimateOp("tree:6", 2000)},
 		{name: "sim/Estimate-wide/RecMaj3x6x2000", probes: wideProbes("recmaj:3x6", 2000), fn: wideEstimateOp("recmaj:3x6", 2000)},
-		{name: "availability/MonteCarlo-wide/Maj1025x2000", fn: func(b *testing.B) {
-			maj1025 := spec.MustParse("maj:1025")
-			for i := 0; i < b.N; i++ {
-				availability.MonteCarlo(maj1025, 0.3, 2000, rand.New(rand.NewPCG(9, uint64(i))))
-			}
-		}},
 		// Batch-query throughput: one DoBatch over every registered
 		// construction with a three-point grid — the probeserved
 		// /v1/eval workload. Cold rebuilds every artifact per batch (a

@@ -122,10 +122,14 @@ func run(args []string) int {
 		pt := res.Point(*p)
 		fmt.Printf("availability:  F_p = %.6f at p = %.3f\n", *pt.Availability, *p)
 		fmt.Printf("probe cost:    %.4f expected probes (paper strategy, IID p = %.3f)\n", *pt.Expected, *p)
-	} else {
+	} else if f, err := eval.AvailabilityCtx(context.Background(), sys, *p); err == nil {
 		// Systems without the ExactExpectation capability still report
 		// availability.
-		fmt.Printf("availability:  F_p = %.6f at p = %.3f\n", probequorum.Availability(sys, *p), *p)
+		fmt.Printf("availability:  F_p = %.6f at p = %.3f\n", f, *p)
+	} else {
+		// Past the witness-table bound with no closed form: the bound
+		// error names the measures still available.
+		fmt.Printf("availability:  %v\n", err)
 	}
 
 	if art, err := probequorum.RenderSystem(sys, nil); err == nil {

@@ -143,3 +143,24 @@ func TestEnumerateRefusesInfeasibleSystems(t *testing.T) {
 		t.Errorf("maj:3 -enumerate exited %d:\n%s", code, out)
 	}
 }
+
+// TestReportSurvivesUnreachableAvailability pins that the inspect report
+// of a wide system with neither a closed form nor a witness table prints
+// the bound error on its availability line, finishes and exits 0.
+func TestReportSurvivesUnreachableAvailability(t *testing.T) {
+	for _, sp := range []string{"grid:6x6", "rowa:27", "rw:maj:27"} {
+		var code int
+		out := captureStdout(t, func() { code = run([]string{"-system", sp}) })
+		if code != 0 {
+			t.Errorf("%s: exited %d, want 0", sp, code)
+		}
+		if !strings.Contains(out, "\navailability:  exact availability of ") || !strings.Contains(out, "still available at n = ") {
+			t.Errorf("%s: no bound error on the availability line:\n%s", sp, out)
+		}
+	}
+	var code int
+	out := captureStdout(t, func() { code = run([]string{"-system", "grid:3x3", "-p", "0.3"}) })
+	if code != 0 || !strings.Contains(out, "\navailability:  F_p = ") {
+		t.Errorf("grid:3x3 exited %d:\n%s", code, out)
+	}
+}

@@ -202,9 +202,11 @@ func isCtxErr(err error) bool {
 
 // Availability returns F_p(S). Systems with the ExactAvailability
 // capability answer from their closed form; for others the session
-// derives an availability polynomial from the witness table once — one
+// derives an availability polynomial from a witness table once — one
 // coefficient per green count — and every later p is a Horner-style
-// O(n) evaluation instead of a fresh 2^n enumeration. For systems with
+// O(n) evaluation instead of a fresh 2^n enumeration. Only the n+1
+// counts are memoized and persisted: the table they come from is built
+// for the derivation and dropped with it. For systems with
 // neither a closed form nor a table-sized universe exact availability
 // does not exist, and this error-less form panics with the actionable
 // bound error; use AvailabilityCtx to handle it gracefully.
@@ -229,7 +231,7 @@ func (e *Evaluator) AvailabilityCtx(ctx context.Context, sys System, p float64) 
 	// quorum: the availability polynomial F_p = sum_g counts[g] q^g
 	// p^(n-g).
 	counts, err := artifact(ctx, e, sys, artifactKey{kind: artifactAvailPoly}, func(ctx context.Context) ([]float64, error) {
-		table, err := e.WitnessTableCtx(ctx, sys)
+		table, err := quorum.BuildWitnessTableCtx(ctx, sys)
 		if err != nil {
 			return nil, err
 		}
@@ -523,7 +525,7 @@ func (e *Evaluator) estimateAvailabilityCtx(ctx context.Context, sys System, p f
 	}
 	n := sys.Size()
 	type buffers struct{ red, green []uint64 }
-	s, err := sim.EstimateWithWorkersCtx(ctx, trials, seed, e.parallelism,
+	s, err := sim.EstimateAdaptiveCtx(ctx, trials, seed, e.parallelism,
 		func() *buffers {
 			w := quorum.WordCount(n)
 			return &buffers{red: make([]uint64, w), green: make([]uint64, w)}
@@ -535,7 +537,7 @@ func (e *Evaluator) estimateAvailabilityCtx(ctx context.Context, sys System, p f
 				return 0
 			}
 			return 1
-		})
+		}, nil)
 	return s, trialPanic("availability trial", err)
 }
 

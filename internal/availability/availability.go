@@ -4,15 +4,14 @@
 //
 // Closed forms are provided per construction — binomial tail for Maj, a
 // bottom-up row DP for crumbling walls, and the gate recursions for Tree
-// and HQS — alongside brute-force enumeration and Monte Carlo estimators
-// for cross-validation.
+// and HQS — alongside brute-force enumeration for cross-validation. The
+// Monte Carlo estimate is the evaluator's deadline fallback.
 package availability
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand/v2"
 
 	"probequorum/internal/coloring"
 	"probequorum/internal/quorum"
@@ -214,40 +213,6 @@ func redCountProbs(n int, p float64) []float64 {
 		out[r] = prob
 	}
 	return out
-}
-
-// MonteCarlo estimates F_p(S) from the given number of IID trials.
-// Wide-mask systems (all built-in constructions, at every size) draw each
-// trial's failure pattern into a reused word buffer — consuming the same
-// PRNG stream as coloring.IID, so estimates are unchanged — and test it
-// with ContainsQuorumWords without allocating; systems without the
-// capability fall back to per-coloring bitsets.
-func MonteCarlo(sys quorum.System, p float64, trials int, rng *rand.Rand) float64 {
-	checkP(p)
-	if trials <= 0 {
-		panic(fmt.Sprintf("availability: trials must be positive, got %d", trials))
-	}
-	n := sys.Size()
-	fails := 0
-	if ws, ok := sys.(quorum.WideMaskSystem); ok {
-		reds := make([]uint64, quorum.WordCount(n))
-		greens := make([]uint64, quorum.WordCount(n))
-		for i := 0; i < trials; i++ {
-			coloring.IIDWordsInto(reds, n, p, rng)
-			quorum.ComplementWordsInto(greens, reds, n)
-			if !ws.ContainsQuorumWords(greens) {
-				fails++
-			}
-		}
-		return float64(fails) / float64(trials)
-	}
-	for i := 0; i < trials; i++ {
-		col := coloring.IID(n, p, rng)
-		if !sys.ContainsQuorum(col.GreenSet()) {
-			fails++
-		}
-	}
-	return float64(fails) / float64(trials)
 }
 
 // Of dispatches through the quorum.ExactAvailability capability — every

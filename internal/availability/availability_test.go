@@ -2,7 +2,6 @@ package availability_test
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"probequorum/internal/availability"
@@ -140,17 +139,6 @@ func TestVoteAvailability(t *testing.T) {
 	}
 }
 
-func TestMonteCarloAgreesWithClosedForm(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 7))
-	tree, _ := systems.NewTree(3)
-	p := 0.4
-	mc := availability.MonteCarlo(tree, p, 20000, rng)
-	want := availability.Tree(3, p)
-	if math.Abs(mc-want) > 0.02 {
-		t.Errorf("MC %.4f vs closed form %.4f", mc, want)
-	}
-}
-
 func TestOfDispatch(t *testing.T) {
 	maj, _ := systems.NewMaj(5)
 	wheel, _ := systems.NewWheel(5)
@@ -179,7 +167,7 @@ func TestOfDispatch(t *testing.T) {
 }
 
 // hideMask strips the words method off a system, forcing the per-coloring
-// fallback paths of BruteForce and MonteCarlo.
+// fallback path of BruteForce.
 type hideMask struct{ quorum.System }
 
 // The one-word enumeration of BruteForce must reproduce the per-coloring
@@ -201,52 +189,5 @@ func TestBruteForceMaskMatchesColoringFallback(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// The allocation-free words path of MonteCarlo on a one-word universe
-// consumes the same PRNG stream as the coloring path, so fixed seeds give
-// identical estimates.
-func TestMonteCarloMaskMatchesColoringFallback(t *testing.T) {
-	hqs, _ := systems.NewHQS(2)
-	got := availability.MonteCarlo(hqs, 0.4, 3000, rand.New(rand.NewPCG(5, 9)))
-	want := availability.MonteCarlo(hideMask{hqs}, 0.4, 3000, rand.New(rand.NewPCG(5, 9)))
-	if got != want {
-		t.Errorf("mask MC %v != coloring MC %v", got, want)
-	}
-}
-
-// The words path of MonteCarlo at n > 64 also consumes one Float64 per
-// element per trial, so it is bit-identical to the per-coloring fallback
-// for the same seed.
-func TestMonteCarloWideMatchesColoringFallback(t *testing.T) {
-	tree, _ := systems.NewTree(6) // n = 127: two-word masks
-	got := availability.MonteCarlo(tree, 0.45, 2000, rand.New(rand.NewPCG(21, 2)))
-	want := availability.MonteCarlo(hideMask{tree}, 0.45, 2000, rand.New(rand.NewPCG(21, 2)))
-	if got != want {
-		t.Errorf("wide MC %v != coloring MC %v", got, want)
-	}
-}
-
-// At wide sizes the Monte Carlo estimate must land on the closed form.
-func TestMonteCarloWideAgreesWithClosedForm(t *testing.T) {
-	maj, _ := systems.NewMaj(129)
-	wheel, _ := systems.NewWheel(200)
-	tree, _ := systems.NewTree(7)
-	hqs, _ := systems.NewHQS(5)
-	for _, tc := range []struct {
-		sys quorum.System
-		p   float64
-	}{
-		{maj, 0.45},
-		{wheel, 0.3},
-		{tree, 0.5},
-		{hqs, 0.55},
-	} {
-		exact := availability.Of(tc.sys, tc.p)
-		mc := availability.MonteCarlo(tc.sys, tc.p, 20000, rand.New(rand.NewPCG(3, 33)))
-		if math.Abs(mc-exact) > 0.015 {
-			t.Errorf("%s at p=%v: MC %v vs closed form %v", tc.sys.Name(), tc.p, mc, exact)
-		}
 	}
 }

@@ -121,10 +121,11 @@ func TestLargeInstanceSoundness(t *testing.T) {
 // "easy to check" skips over.
 func TestRProbeCWWheelWorstCase(t *testing.T) {
 	for _, n := range []int{5, 7, 10} {
-		cw, err := systems.NewWheelCW(n)
+		w, err := systems.NewWheel(n)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cw := w.CW
 		worst := 0.0
 		coloring.All(cw.Size(), func(col *coloring.Coloring) bool {
 			if v := ExactRProbeCW(cw, col); v > worst {
@@ -137,7 +138,8 @@ func TestRProbeCWWheelWorstCase(t *testing.T) {
 		}
 	}
 	// The n = 4 exception, exactly.
-	cw4, _ := systems.NewWheelCW(4)
+	w4, _ := systems.NewWheel(4)
+	cw4 := w4.CW
 	worst := 0.0
 	coloring.All(4, func(col *coloring.Coloring) bool {
 		if v := ExactRProbeCW(cw4, col); v > worst {

@@ -7,121 +7,14 @@ import (
 	"probequorum/internal/quorum"
 )
 
-// This file holds the native role systems behind the two-role
-// constructors: Choose(k of n) threshold roles (read-one/write-all),
+// This file holds the native role systems behind the grid constructor:
 // grid rows and grid transversals. Each is a full wide-mask-native
 // quorum.System in its own right. Within a role the quorums need not
 // pairwise intersect (ROWA reads do not): intersection is a pair
-// property (duality), not a role property. Roles given as explicit
+// property (duality), not a role property. Read-one/write-all's roles
+// are systems.Choose threshold families, and roles given as explicit
 // quorum lists are quorum.NewFamily values, quorum.Explicit without the
 // intersection check.
-
-// Choose is the threshold role whose minimal quorums are exactly the
-// k-element subsets of an n-element universe: membership is a popcount.
-type Choose struct {
-	k, n int
-}
-
-var (
-	_ quorum.System          = (*Choose)(nil)
-	_ quorum.Finder          = (*Choose)(nil)
-	_ quorum.Sized           = (*Choose)(nil)
-	_ quorum.WideMaskSystem  = (*Choose)(nil)
-	_ quorum.ExactResilience = (*Choose)(nil)
-)
-
-// NewChoose returns the role whose quorums are the k-subsets of
-// {0..n-1}.
-func NewChoose(k, n int) (*Choose, error) {
-	if n < 1 || k < 1 || k > n {
-		return nil, fmt.Errorf("rw: choose needs 1 <= k <= n, got k=%d n=%d", k, n)
-	}
-	return &Choose{k: k, n: n}, nil
-}
-
-// Name implements quorum.System.
-func (c *Choose) Name() string { return fmt.Sprintf("Choose(%d of %d)", c.k, c.n) }
-
-// Size implements quorum.System.
-func (c *Choose) Size() int { return c.n }
-
-// Threshold returns k.
-func (c *Choose) Threshold() int { return c.k }
-
-// ContainsQuorum implements quorum.System.
-func (c *Choose) ContainsQuorum(s *bitset.Set) bool { return s.Count() >= c.k }
-
-// ContainsQuorumWords implements quorum.WideMaskSystem.
-func (c *Choose) ContainsQuorumWords(words []uint64) bool {
-	return quorum.PopcountWords(words) >= c.k
-}
-
-// Quorums implements quorum.System by enumerating the k-subsets with
-// Gosper's hack. It panics beyond the enumeration budget or one word;
-// use quorum.EnumerateQuorums for the error-returning form.
-func (c *Choose) Quorums() []*bitset.Set {
-	if c.n > quorum.MaskWords {
-		panic(fmt.Sprintf("rw: Choose enumeration requires n <= %d, got %d", quorum.MaskWords, c.n))
-	}
-	if binomialAbove(c.n, c.k, quorum.EnumerationBudget) {
-		panic(fmt.Sprintf("rw: Choose(%d of %d) enumerates more than %d quorums", c.k, c.n, quorum.EnumerationBudget))
-	}
-	var out []*bitset.Set
-	limit := quorum.FullMask(c.n)
-	for m := quorum.FullMask(c.k); m <= limit; {
-		out = append(out, quorum.SetOfMask(c.n, m))
-		// Gosper's hack: next mask with the same popcount.
-		u := m & -m
-		v := m + u
-		if v > limit || v < m {
-			break
-		}
-		m = v | ((m ^ v) / u >> 2)
-	}
-	return out
-}
-
-// FindQuorumWithin implements quorum.Finder: the k lowest allowed
-// elements.
-func (c *Choose) FindQuorumWithin(allowed *bitset.Set) (*bitset.Set, bool) {
-	if allowed.Count() < c.k {
-		return nil, false
-	}
-	q := bitset.New(c.n)
-	taken := 0
-	allowed.ForEach(func(e int) bool {
-		q.Add(e)
-		taken++
-		return taken < c.k
-	})
-	return q, true
-}
-
-// MinQuorumSize implements quorum.Sized.
-func (c *Choose) MinQuorumSize() int { return c.k }
-
-// MaxQuorumSize implements quorum.Sized.
-func (c *Choose) MaxQuorumSize() int { return c.k }
-
-// Resilience implements quorum.ExactResilience: n-k failures leave k
-// elements (a quorum); n-k+1 leave none.
-func (c *Choose) Resilience() int { return c.n - c.k }
-
-// binomialAbove reports whether C(n, k) exceeds the budget without
-// overflowing.
-func binomialAbove(n, k, budget int) bool {
-	if k > n-k {
-		k = n - k
-	}
-	v := 1
-	for i := 1; i <= k; i++ {
-		v = v * (n - k + i) / i
-		if v > budget {
-			return true
-		}
-	}
-	return false
-}
 
 // grid is the shared shape of the two grid roles: r rows of c elements,
 // element e = row*c + col, with per-row bitsets and wide masks

@@ -7,10 +7,11 @@
 // the paper's single-role measure calculator into a planner.
 //
 // The paper's constructions are single-role coteries; they lift into this
-// package as self-pairs (reads = writes), and the genuinely two-role
-// families — read-one/write-all and grid systems — get native structural
-// role systems, so duality checks and membership tests scale to wide
-// universes without enumeration.
+// package as self-pairs (reads = writes). The genuinely two-role families
+// get structural role systems, so duality checks and membership tests
+// scale to wide universes without enumeration: read-one/write-all pairs
+// two systems.Choose threshold families, and grid systems get the native
+// row and transversal roles of roles.go.
 package rw
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"probequorum/internal/bitset"
 	"probequorum/internal/quorum"
+	"probequorum/internal/systems"
 )
 
 // ReadWrite is the capability of a read/write quorum system: the value
@@ -112,11 +114,11 @@ func ReadOneWriteAll(n int) (*Pair, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rw: read-one/write-all needs n >= 1, got %d", n)
 	}
-	reads, err := NewChoose(1, n)
+	reads, err := systems.NewChoose(1, n)
 	if err != nil {
 		return nil, err
 	}
-	writes, err := NewChoose(n, n)
+	writes, err := systems.NewChoose(n, n)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"probequorum/internal/bitset"
 	"probequorum/internal/quorum"
+	"probequorum/internal/systems"
 )
 
 func mustGrid(t *testing.T, r, c int) *Pair {
@@ -140,9 +141,9 @@ func TestCheckDualityExhaustive(t *testing.T) {
 	}
 }
 
-func mustChoose(t *testing.T, k, n int) *Choose {
+func mustChoose(t *testing.T, k, n int) *systems.Choose {
 	t.Helper()
-	c, err := NewChoose(k, n)
+	c, err := systems.NewChoose(k, n)
 	if err != nil {
 		t.Fatalf("NewChoose(%d,%d): %v", k, n, err)
 	}

@@ -48,58 +48,40 @@ type Chunk struct {
 // deterministically derived PRNG, and summarizes the results. Trials run
 // concurrently, so f must be safe for concurrent invocation (its rng is
 // per-trial; any captured state must be read-only). The summary is
-// bit-identical to EstimateSeq for the same (trials, seed, f).
+// bit-identical to EstimateSeq for the same (trials, seed, f). A
+// panicking trial panics with its *PanicError.
 func Estimate(trials int, seed uint64, f func(rng *rand.Rand) float64) stats.Summary {
-	return EstimateWith(trials, seed,
+	s, err := EstimateAdaptiveCtx(context.Background(), trials, seed, 0,
 		func() struct{} { return struct{}{} },
-		func(rng *rand.Rand, _ struct{}) float64 { return f(rng) })
-}
-
-// EstimateWith is Estimate with per-worker state: newState runs once per
-// worker and its result is passed to every trial that worker executes, so
-// hot loops can reuse coloring/oracle buffers instead of reallocating
-// them per trial. f must be safe for concurrent invocation across
-// distinct states.
-func EstimateWith[S any](trials int, seed uint64, newState func() S, f func(rng *rand.Rand, state S) float64) stats.Summary {
-	return EstimateWithWorkers(trials, seed, 0, newState, f)
-}
-
-// EstimateWithWorkers is EstimateWith with an explicit worker-count cap
-// (0 or negative for GOMAXPROCS). Because every trial derives its PRNG
-// from (seed, trial index) and accumulation replays in trial order, the
-// summary is bit-identical for every worker count.
-func EstimateWithWorkers[S any](trials int, seed uint64, workers int, newState func() S, f func(rng *rand.Rand, state S) float64) stats.Summary {
-	s, err := EstimateWithWorkersCtx(context.Background(), trials, seed, workers, newState, f)
+		func(rng *rand.Rand, _ struct{}) float64 { return f(rng) }, nil)
 	if err != nil {
-		panic(err) // unreachable: the background context is never done
+		panic(err) // a *PanicError: the background context is never done
 	}
 	return s
 }
 
-// EstimateWithWorkersCtx is EstimateWithWorkers honoring cancellation:
-// both the sequential and the parallel trial loops check ctx between
-// chunks of trials, and a done context aborts the run with ctx.Err()
-// and no summary. A run that completes is bit-identical to the
-// uncancellable variants for the same (trials, seed, f).
-func EstimateWithWorkersCtx[S any](ctx context.Context, trials int, seed uint64, workers int, newState func() S, f func(rng *rand.Rand, state S) float64) (stats.Summary, error) {
-	return EstimateAdaptiveCtx(ctx, trials, seed, workers, newState, f, nil)
-}
-
 // EstimateAdaptiveCtx is the chunked core of every estimate loop: up to
-// maxTrials trials run across workers, trial values are accumulated by
-// Welford's algorithm in strict trial order, and observe (when non-nil)
-// is called after every accumulated trialChunk-sized prefix and at the
-// final trial with the running Chunk. observe returning true stops the
-// run at that checkpoint: the returned summary is exactly the observed
-// prefix, workers quit claiming further chunks, and values computed
-// beyond the checkpoint are discarded.
+// maxTrials trials run across workers (0 or negative for GOMAXPROCS),
+// trial values are accumulated by Welford's algorithm in strict trial
+// order, and observe (when non-nil) is called after every accumulated
+// trialChunk-sized prefix and at the final trial with the running Chunk.
+// observe returning true stops the run at that checkpoint: the returned
+// summary is exactly the observed prefix, workers quit claiming further
+// chunks, and values computed beyond the checkpoint are discarded. A nil
+// observe runs all maxTrials trials.
+//
+// newState runs once per worker and its result is passed to every trial
+// that worker executes, so hot loops can reuse coloring/oracle buffers
+// instead of reallocating them per trial; f must be safe for concurrent
+// invocation across distinct states. Both the sequential and the
+// parallel loops check ctx between chunks of trials, and a done context
+// aborts the run with ctx.Err() and no summary.
 //
 // Because checkpoints are fixed prefixes of the deterministic
 // (seed, trial index) value sequence, the Chunk sequence, any stopping
 // decision made on it, and the returned summary are bit-identical across
-// worker counts and goroutine scheduling. A run whose observer never
-// stops returns the same summary as EstimateWithWorkersCtx over
-// maxTrials trials.
+// worker counts and goroutine scheduling, and a run that completes
+// equals EstimateSeq over the same trials.
 func EstimateAdaptiveCtx[S any](ctx context.Context, maxTrials int, seed uint64, workers int, newState func() S, f func(rng *rand.Rand, state S) float64, observe func(Chunk) (stop bool)) (stats.Summary, error) {
 	if maxTrials <= 0 {
 		panic(fmt.Sprintf("sim: trials must be positive, got %d", maxTrials))

@@ -54,14 +54,14 @@ func TestEstimateParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// EstimateWith must give every worker its own state and still reproduce
-// the stateless loop exactly.
+// Per-worker state must reach every trial of its worker and the run must
+// still reproduce the stateless loop exactly.
 func TestEstimateWithReusesStatePerWorker(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	trials := 4000
 	var states atomic.Int64
-	got := EstimateWith(trials, 7,
+	got, err := EstimateAdaptiveCtx(context.Background(), trials, 7, 0,
 		func() *[]float64 {
 			states.Add(1)
 			buf := make([]float64, 8)
@@ -76,7 +76,10 @@ func TestEstimateWithReusesStatePerWorker(t *testing.T) {
 				total += (*buf)[i]
 			}
 			return total
-		})
+		}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := EstimateSeq(trials, 7, func(rng *rand.Rand) float64 {
 		total := 0.0
 		for i := 0; i < 8; i++ {
@@ -85,7 +88,7 @@ func TestEstimateWithReusesStatePerWorker(t *testing.T) {
 		return total
 	})
 	if got != want {
-		t.Errorf("EstimateWith %+v != sequential %+v", got, want)
+		t.Errorf("per-worker state %+v != sequential %+v", got, want)
 	}
 	if n := states.Load(); n < 1 || n > 64 {
 		t.Errorf("newState ran %d times, want one per worker", n)
@@ -161,9 +164,9 @@ func TestExpectedIIDGuard(t *testing.T) {
 func TestEstimateWithWorkersCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EstimateWithWorkersCtx(ctx, 100000, 7, 0,
+	_, err := EstimateAdaptiveCtx(ctx, 100000, 7, 0,
 		func() struct{} { return struct{}{} },
-		func(rng *rand.Rand, _ struct{}) float64 { return rng.Float64() })
+		func(rng *rand.Rand, _ struct{}) float64 { return rng.Float64() }, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -174,14 +177,14 @@ func TestEstimateWithWorkersCtxMidRun(t *testing.T) {
 	// abandoned and the run must report the cancellation.
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Int64
-	_, err := EstimateWithWorkersCtx(ctx, 1<<20, 7, 0,
+	_, err := EstimateAdaptiveCtx(ctx, 1<<20, 7, 0,
 		func() struct{} { return struct{}{} },
 		func(rng *rand.Rand, _ struct{}) float64 {
 			if calls.Add(1) == 10 {
 				cancel()
 			}
 			return rng.Float64()
-		})
+		}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-run cancel: err = %v, want context.Canceled", err)
 	}
@@ -189,19 +192,6 @@ func TestEstimateWithWorkersCtxMidRun(t *testing.T) {
 		t.Errorf("cancellation did not stop the trial loop: %d trials ran", n)
 	}
 	cancel()
-}
-
-func TestEstimateWithWorkersCtxMatchesUncancellable(t *testing.T) {
-	f := func(rng *rand.Rand, _ struct{}) float64 { return rng.Float64() }
-	news := func() struct{} { return struct{}{} }
-	got, err := EstimateWithWorkersCtx(context.Background(), 5000, 11, 0, news, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := EstimateWithWorkers(5000, 11, 0, news, f)
-	if got != want {
-		t.Errorf("ctx variant summary %+v differs from uncancellable %+v", got, want)
-	}
 }
 
 // TestEstimateAdaptiveCheckpointsAreSequentialPrefixes pins the streaming
@@ -230,10 +220,7 @@ func TestEstimateAdaptiveCheckpointsAreSequentialPrefixes(t *testing.T) {
 			if c.Trials != (i+1)*64 {
 				t.Fatalf("workers=%d: checkpoint %d at %d trials, want %d", workers, i, c.Trials, (i+1)*64)
 			}
-			ref, err := EstimateWithWorkersCtx(context.Background(), c.Trials, seed, 1, news, f)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := EstimateSeq(c.Trials, seed, func(rng *rand.Rand) float64 { return f(rng, struct{}{}) })
 			if c.Summary != ref {
 				t.Fatalf("workers=%d: checkpoint at %d trials %+v != sequential prefix %+v", workers, c.Trials, c.Summary, ref)
 			}
@@ -252,10 +239,7 @@ func TestEstimateAdaptiveStops(t *testing.T) {
 	f := func(rng *rand.Rand, _ struct{}) float64 { return rng.Float64() }
 	news := func() struct{} { return struct{}{} }
 
-	want, err := EstimateWithWorkersCtx(context.Background(), stopAt, seed, 1, news, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := EstimateSeq(stopAt, seed, func(rng *rand.Rand) float64 { return f(rng, struct{}{}) })
 	for _, workers := range []int{1, 3, 0} {
 		var last Chunk
 		s, err := EstimateAdaptiveCtx(context.Background(), trials, seed, workers, news, f,

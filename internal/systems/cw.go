@@ -89,20 +89,6 @@ func NewTriang(k int) (*CW, error) {
 	return cw, nil
 }
 
-// NewWheelCW returns the wheel system over n elements in its crumbling-wall
-// representation (1, n-1)-CW, used to cross-validate Wheel.
-func NewWheelCW(n int) (*CW, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("systems: wheel CW requires n >= 3, got %d", n)
-	}
-	cw, err := NewCW([]int{1, n - 1})
-	if err != nil {
-		return nil, err
-	}
-	cw.name = fmt.Sprintf("WheelCW(%d)", n)
-	return cw, nil
-}
-
 // Name implements quorum.System.
 func (c *CW) Name() string { return c.name }
 

@@ -2,9 +2,15 @@
 // Hassin & Peleg, "Average probe complexity in quorum systems" (§2.2):
 //
 //   - Maj:   the majority system of Thomas [18] — all sets of (n+1)/2
-//     elements over an odd-size universe.
+//     elements over an odd-size universe. It is the threshold family
+//     Choose((n+1)/2 of n), which it embeds; Choose also gives
+//     read-one/write-all (internal/rw) its Choose(1 of n) reads and
+//     Choose(n of n) writes. Probe_Maj, the closed forms and the drawing
+//     are Maj's own.
 //   - Wheel: the wheel system of Holzman, Marcus & Peleg [6] — a hub paired
-//     with any rim element, or the entire rim.
+//     with any rim element, or the entire rim. It is the (1, n-1)-CW, which
+//     it embeds; the hub-first strategy, the closed forms and the drawing
+//     are the Wheel's own.
 //   - CW:    the crumbling walls family of Peleg & Wool [14] — a full row
 //     plus one representative from every row below it; includes the Triang
 //     subfamily (row i has width i) and the Wheel as (1, n-1)-CW.

@@ -6,10 +6,10 @@ import "probequorum/internal/quorum"
 // characteristic function evaluated on a []uint64 element mask, so
 // membership scales to quorum.MaxWideUniverse elements with no
 // enumeration and a universe of at most 64 elements is a one-word slice.
-// Maj sums word popcounts, Wheel tests the hub bit plus a rim popcount,
-// CW tests each row against its precomputed word window, Tree and RecMaj
-// (the HQS included) run their gate recursions over word bits, and Vote
-// scans the set bits' weights. ContainsQuorum is the bitset reference
+// Choose (the Maj included) sums word popcounts, CW (the Triang and the
+// Wheel included) tests each row against its precomputed word window,
+// Tree and RecMaj (the HQS included) run their gate recursions over word
+// bits, and Vote scans the set bits' weights. ContainsQuorum is the bitset reference
 // these forms are pinned to (mask_test.go, widemask_test.go).
 var (
 	_ quorum.WideMaskSystem = (*Maj)(nil)

@@ -25,11 +25,9 @@ var (
 // Spec implements quorum.Specced.
 func (m *Maj) Spec() string { return fmt.Sprintf("maj:%d", m.n) }
 
-// Spec implements quorum.Specced.
-func (w *Wheel) Spec() string { return fmt.Sprintf("wheel:%d", w.n) }
-
-// Spec implements quorum.Specced. Triang-built walls report the triang
-// form; NewWheelCW and NewCW report the generic width list.
+// Spec implements quorum.Specced. The walls NewTriang and NewWheel build
+// report the triang and wheel forms; NewCW reports the generic width
+// list.
 func (c *CW) Spec() string { return c.spec }
 
 // Spec implements quorum.Specced.

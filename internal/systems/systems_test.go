@@ -188,34 +188,6 @@ func TestWheelConstruction(t *testing.T) {
 	}
 }
 
-// The Wheel system equals its crumbling-wall representation (1, n-1)-CW.
-func TestWheelEqualsWheelCW(t *testing.T) {
-	w, err := NewWheel(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw, err := NewWheelCW(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wq, cq := w.Quorums(), cw.Quorums()
-	if len(wq) != len(cq) {
-		t.Fatalf("quorum counts differ: wheel %d, cw %d", len(wq), len(cq))
-	}
-	for _, q := range wq {
-		found := false
-		for _, r := range cq {
-			if q.Equal(r) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("wheel quorum %v missing from CW representation", q)
-		}
-	}
-}
-
 func TestCWConstruction(t *testing.T) {
 	bad := [][]int{
 		{},        // no rows

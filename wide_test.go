@@ -114,7 +114,7 @@ func bitsetEstimate(t *testing.T, sys probequorum.System, p float64, trials int,
 		col *coloring.Coloring
 		o   *probe.ColoringOracle
 	}
-	s := sim.EstimateWith(trials, seed,
+	s, err := sim.EstimateAdaptiveCtx(context.Background(), trials, seed, 0,
 		func() *buffers {
 			col := coloring.New(n)
 			return &buffers{col: col, o: probe.NewOracle(col)}
@@ -129,7 +129,10 @@ func bitsetEstimate(t *testing.T, sys probequorum.System, p float64, trials int,
 			}
 			_ = w
 			return float64(b.o.Probes())
-		})
+		}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lo, hi := s.CI95()
 	return s.Mean, (hi - lo) / 2
 }
