@@ -1,9 +1,12 @@
 package probequorum
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -337,5 +340,53 @@ func TestWheelStrategiesConstantProbes(t *testing.T) {
 			t.Errorf("wheel:%d expectation decreased: %v < %v", n, exp, prev)
 		}
 		prev = exp
+	}
+}
+
+// TestTwoRolePairsHaveNoWitnessSearch pins that witness search refuses a
+// read/write pair whose roles differ with an *UnsupportedError saying
+// why: one red element is a red read quorum of rowa:5, and a 3x3 grid
+// with a red diagonal holds a read quorum of neither color. The estimate
+// and the temporal engine refuse the same way instead of panicking, the
+// grid's bound error stops offering them, and self-pairs keep the scan.
+func TestTwoRolePairsHaveNoWitnessSearch(t *testing.T) {
+	ctx := context.Background()
+	for sp, reds := range map[string][]int{"rowa:5": {0}, "grid:3x3": {0, 4, 8}} {
+		sys := MustParse(sp)
+		col := ColoringFromReds(sys.Size(), reds)
+		_, err := FindWitness(sys, NewOracle(col))
+		var ue *UnsupportedError
+		if !errors.As(err, &ue) || !strings.Contains(err.Error(), "read and write roles differ") {
+			t.Errorf("FindWitness(%s): err = %v, want the two-role *UnsupportedError", sp, err)
+		}
+		_, err = FindWitnessRandomized(sys, NewOracle(col), rand.New(rand.NewPCG(1, 2)))
+		if !errors.As(err, &ue) {
+			t.Errorf("FindWitnessRandomized(%s): err = %v, want *UnsupportedError", sp, err)
+		}
+	}
+	eval := NewEvaluator()
+	_, err := eval.Do(ctx, Query{Spec: "grid:3x3", Measures: []Measure{MeasureEstimate}, Ps: []float64{0.3}, Trials: 100})
+	var ue *UnsupportedError
+	var pe *PanicError
+	if !errors.As(err, &ue) || errors.As(err, &pe) {
+		t.Errorf("estimate of grid:3x3: err = %v, want *UnsupportedError", err)
+	}
+	_, err = eval.Do(ctx, Query{Spec: "grid:3x3", Measures: []Measure{MeasureTimedTTQ}, Ps: []float64{0.3}, Trials: 10})
+	if err == nil || errors.As(err, &pe) || !strings.Contains(err.Error(), "read and write roles differ") {
+		t.Errorf("timed-ttq of grid:3x3: err = %v, want the two-role refusal", err)
+	}
+	_, err = eval.Do(ctx, Query{Spec: "grid:6x6", Measures: []Measure{MeasurePC}})
+	var be *BoundError
+	if !errors.As(err, &be) || slices.Contains(be.Available, string(MeasureEstimate)) {
+		t.Errorf("pc of grid:6x6: err = %v, want a bound error without estimate", err)
+	}
+	self := MustParse("rw:maj:9")
+	col := ColoringFromReds(9, []int{0, 1, 2, 3, 4})
+	w, err := FindWitness(self, NewOracle(col))
+	if err != nil {
+		t.Fatalf("FindWitness(rw:maj:9): %v", err)
+	}
+	if err := VerifyWitness(self, w, col); err != nil || w.Color != Red {
+		t.Errorf("rw:maj:9 witness %+v: %v, want a verified red quorum", w, err)
 	}
 }

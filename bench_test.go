@@ -453,11 +453,12 @@ func BenchmarkBruteForceAvailabilityColoring(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionLoadBalance exercises the Naor–Wool load balancer.
+// BenchmarkExtensionLoadBalance exercises the exact load optimizer.
 func BenchmarkExtensionLoadBalance(b *testing.B) {
 	w, _ := systems.NewWheel(12)
+	opts := rw.Options{Workload: rw.Workload{ReadFraction: 1}}
 	for i := 0; i < b.N; i++ {
-		if _, _, err := rw.BalanceLoad(w, 200, rw.DefaultBalanceGap); err != nil {
+		if _, err := rw.Optimize(w, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

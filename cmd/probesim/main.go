@@ -3,8 +3,9 @@
 // average probes against the exact expectation and the availability.
 // Systems are built from declarative spec strings through the
 // construction registry (any registered construction works), and the
-// deterministic-mode report is a single estimate/expected/availability
-// Query through the shared evaluation path.
+// deterministic-mode report is a single estimate/expected Query through
+// the shared evaluation path, with the availability asked of the same
+// session.
 //
 // Usage:
 //
@@ -29,20 +30,21 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("probesim", flag.ExitOnError)
 	var (
-		system     = flag.String("system", "triang:4", "system spec, e.g. maj:7 | triang:10 | cw:1,3,2 | tree:3 | hqs:2 | vote:3,1,1,2 | recmaj:3x2 | wheel:8")
-		p          = flag.Float64("p", 0.3, "failure probability")
-		trials     = flag.Int("trials", 10000, "number of simulated failure patterns (with -tolerance, the budget)")
-		seed       = flag.Uint64("seed", 1, "PRNG seed")
-		randomized = flag.Bool("randomized", false, "use the randomized worst-case strategy instead")
-		stream     = flag.Bool("stream", false, "print the running estimate live as trial chunks accumulate")
-		tolerance  = flag.Float64("tolerance", 0, "stop trials once the 95% confidence half-interval reaches this target (0: fixed trials)")
+		system     = fs.String("system", "triang:4", "system spec, e.g. maj:7 | triang:10 | cw:1,3,2 | tree:3 | hqs:2 | vote:3,1,1,2 | recmaj:3x2 | wheel:8")
+		p          = fs.Float64("p", 0.3, "failure probability")
+		trials     = fs.Int("trials", 10000, "number of simulated failure patterns (with -tolerance, the budget)")
+		seed       = fs.Uint64("seed", 1, "PRNG seed")
+		randomized = fs.Bool("randomized", false, "use the randomized worst-case strategy instead")
+		stream     = fs.Bool("stream", false, "print the running estimate live as trial chunks accumulate")
+		tolerance  = fs.Float64("tolerance", 0, "stop trials once the 95% confidence half-interval reaches this target (0: fixed trials)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	sys, err := probequorum.Parse(*system)
 	if err != nil {
@@ -55,12 +57,14 @@ func run() int {
 		return runRandomized(sys, *p, *trials, *seed)
 	}
 
-	// Deterministic mode: one Query answers the estimate, the exact
-	// expectation and the availability in a single pass over the
-	// session's caches. Systems without a closed-form expectation (no
-	// registered construction, but Query accepts System values) still
-	// simulate.
-	measures := []probequorum.Measure{probequorum.MeasureEstimate, probequorum.MeasureAvailability}
+	// Deterministic mode: one Query answers the estimate and the exact
+	// expectation in a single pass over the session's caches. Systems
+	// without a closed-form expectation (no registered construction, but
+	// Query accepts System values) still simulate. The availability is
+	// asked separately, so a system past its exact bound still reports
+	// its estimate.
+	eval := probequorum.NewEvaluator()
+	measures := []probequorum.Measure{probequorum.MeasureEstimate}
 	if _, ok := sys.(probequorum.ExactExpectation); ok {
 		measures = append(measures, probequorum.MeasureExpected)
 	}
@@ -77,7 +81,7 @@ func run() int {
 		// Print the estimate cells live, then fold the collected cells
 		// into the same Result the one-shot path reports.
 		var cells []probequorum.Cell
-		for cell, err := range probequorum.NewEvaluator().Stream(context.Background(), query) {
+		for cell, err := range eval.Stream(context.Background(), query) {
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "probesim:", err)
 				return 1
@@ -99,7 +103,7 @@ func run() int {
 		res = results[0]
 		fmt.Println()
 	} else {
-		res, err = probequorum.NewEvaluator().Do(context.Background(), query)
+		res, err = eval.Do(context.Background(), query)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "probesim:", err)
 			return 1
@@ -118,7 +122,13 @@ func run() int {
 	if pt.Expected != nil {
 		fmt.Printf("exact expectation: %.4f\n", *pt.Expected)
 	}
-	fmt.Printf("availability:      1 - F_p = %.4f analytically\n", 1-*pt.Availability)
+	if f, err := eval.AvailabilityCtx(context.Background(), sys, *p); err == nil {
+		fmt.Printf("availability:      1 - F_p = %.4f analytically\n", 1-f)
+	} else {
+		// Past the witness-table bound with no closed form: the bound
+		// error names the measures still available.
+		fmt.Printf("availability:      %v\n", err)
+	}
 	return 0
 }
 

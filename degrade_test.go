@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/bits"
 	"testing"
+	"time"
 
 	"probequorum"
 )
@@ -192,6 +193,31 @@ func TestDeadlineKeepsBoundErrors(t *testing.T) {
 		var be *probequorum.BoundError
 		if !errors.As(err, &be) || be.Max != 18 {
 			t.Errorf("%s of OpaqueMaj(25) under a deadline: err = %v, want the DP bound error", m, err)
+		}
+	}
+}
+
+// slowSize is opaqueMaj with a Size that outlasts a 1ms budget, so the
+// deadline has always passed by the time a measure asks the DP bound.
+type slowSize struct{ opaqueMaj }
+
+func (s slowSize) Size() int {
+	time.Sleep(3 * time.Millisecond)
+	return s.n
+}
+
+// TestDeadlineKeepsBoundErrorsOnSlowSystem pins that pc and ppc check the
+// DP bound before the deadline can win: past the bound they answer the
+// bound error even when the budget is spent before they start.
+func TestDeadlineKeepsBoundErrorsOnSlowSystem(t *testing.T) {
+	eval := probequorum.NewEvaluator()
+	for _, m := range []probequorum.Measure{probequorum.MeasurePC, probequorum.MeasurePPC} {
+		q := degradedQuery()
+		q.System, q.Measures = slowSize{opaqueMaj{25}}, []probequorum.Measure{m}
+		_, err := eval.Do(context.Background(), q)
+		var be *probequorum.BoundError
+		if !errors.As(err, &be) || be.Max != 18 {
+			t.Errorf("%s of a slow OpaqueMaj(25) under a 1ms deadline: err = %v, want the DP bound error", m, err)
 		}
 	}
 }

@@ -299,12 +299,14 @@ func (e *Evaluator) ProbeComplexity(sys System) (int, error) {
 // minimax DP; an aborted solve returns ctx.Err() and caches nothing.
 // The solve (and the table build under it) is single-flighted: N
 // concurrent cold queries for PC(S) run one build, and a cancelled
-// leader hands the build to the waiting followers.
+// leader hands the build to the waiting followers. The DP bound is
+// checked first, synchronously, so no deadline can turn it into a
+// timeout.
 func (e *Evaluator) ProbeComplexityCtx(ctx context.Context, sys System) (int, error) {
+	if err := strategy.CheckUniverse(sys.Size()); err != nil {
+		return 0, err
+	}
 	return artifact(ctx, e, sys, artifactKey{kind: artifactPC}, func(ctx context.Context) (int, error) {
-		if err := strategy.CheckUniverse(sys.Size()); err != nil {
-			return 0, err
-		}
 		table, err := e.WitnessTableCtx(ctx, sys)
 		if err != nil {
 			return 0, err
@@ -322,12 +324,13 @@ func (e *Evaluator) AverageProbeComplexity(sys System, p float64) (float64, erro
 
 // AverageProbeComplexityCtx is AverageProbeComplexity honoring
 // cancellation of the expectimax DP; an aborted solve returns ctx.Err()
-// and caches nothing.
+// and caches nothing. The DP bound is checked first, as in
+// ProbeComplexityCtx.
 func (e *Evaluator) AverageProbeComplexityCtx(ctx context.Context, sys System, p float64) (float64, error) {
+	if err := strategy.CheckUniverse(sys.Size()); err != nil {
+		return 0, err
+	}
 	return artifact(ctx, e, sys, artifactKey{kind: artifactPPC, p: p}, func(ctx context.Context) (float64, error) {
-		if err := strategy.CheckUniverse(sys.Size()); err != nil {
-			return 0, err
-		}
 		table, err := e.WitnessTableCtx(ctx, sys)
 		if err != nil {
 			return 0, err
@@ -487,7 +490,7 @@ func (e *Evaluator) estimateAdaptiveCtx(ctx context.Context, sys System, p float
 	} else {
 		run := core.Resolve(sys, false)
 		if run == nil {
-			return stats.Summary{}, &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: "Prober or Finder"}
+			return stats.Summary{}, noStrategy(sys, "Prober or Finder")
 		}
 		trial = func(rng *rand.Rand, o *probe.WordsOracle) float64 {
 			coloring.IIDWordsInto(o.RedWords(), n, p, rng)

@@ -1,7 +1,9 @@
-// Package analytic collects every closed-form bound stated in Hassin &
+// Package analytic collects the closed-form bounds stated in Hassin &
 // Peleg, "Average probe complexity in quorum systems", as plain functions
 // of the system parameters. The experiment drivers compare these against
-// measured values.
+// measured values. The urn (Lemmas 2.8, 2.9) and grid-walk (Lemma 2.4)
+// closed forms live beside their simulations, in internal/urn and
+// internal/walk.
 package analytic
 
 import "math"
@@ -154,28 +156,4 @@ func Product(a, c, b float64, h int) float64 {
 		out *= a + c*bi
 	}
 	return out
-}
-
-// UrnJthRed is the Lemma 2.8 closed form j(n+1)/(r+1) with n = r+g.
-func UrnJthRed(r, g, j int) float64 {
-	return float64(j) * float64(r+g+1) / float64(r+1)
-}
-
-// UrnBothColors is the Lemma 2.9 closed form 1 + r/(g+1) + g/(r+1).
-func UrnBothColors(r, g int) float64 {
-	return 1 + float64(r)/float64(g+1) + float64(g)/float64(r+1)
-}
-
-// WalkExit is the Lemma 2.4 closed form: 2N - θ(sqrt(N)) at p = q and
-// N/max(p,q) otherwise.
-func WalkExit(n int, p float64) float64 {
-	q := 1 - p
-	if p == q {
-		return 2*float64(n) - 2*math.Sqrt(float64(n)/math.Pi)
-	}
-	hi := q
-	if p > q {
-		hi = p
-	}
-	return float64(n) / hi
 }

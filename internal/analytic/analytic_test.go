@@ -4,6 +4,9 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"probequorum/internal/urn"
+	"probequorum/internal/walk"
 )
 
 func TestMajPPC(t *testing.T) {
@@ -123,17 +126,17 @@ func TestProductBound(t *testing.T) {
 }
 
 func TestUrnAndWalkFormulas(t *testing.T) {
-	if got := UrnJthRed(3, 5, 2); math.Abs(got-2*9.0/4.0) > 1e-12 {
-		t.Errorf("UrnJthRed(3,5,2) = %v", got)
+	if got := urn.ExpectedJthRed(3, 5, 2); math.Abs(got-2*9.0/4.0) > 1e-12 {
+		t.Errorf("urn.ExpectedJthRed(3,5,2) = %v", got)
 	}
-	if got := UrnBothColors(1, 1); math.Abs(got-2) > 1e-12 {
-		t.Errorf("UrnBothColors(1,1) = %v", got)
+	if got := urn.ExpectedBothColors(1, 1); math.Abs(got-2) > 1e-12 {
+		t.Errorf("urn.ExpectedBothColors(1,1) = %v", got)
 	}
-	if got := WalkExit(100, 0.25); math.Abs(got-100/0.75) > 1e-12 {
-		t.Errorf("WalkExit(100, 0.25) = %v", got)
+	if got := walk.Asymptotic(100, 0.25); math.Abs(got-100/0.75) > 1e-12 {
+		t.Errorf("walk.Asymptotic(100, 0.25) = %v", got)
 	}
-	if got := WalkExit(100, 0.5); got >= 200 || got < 180 {
-		t.Errorf("WalkExit(100, 0.5) = %v out of range", got)
+	if got := walk.Asymptotic(100, 0.5); got >= 200 || got < 180 {
+		t.Errorf("walk.Asymptotic(100, 0.5) = %v out of range", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"probequorum/internal/coloring"
 	"probequorum/internal/probe"
 	"probequorum/internal/quorum"
+	"probequorum/internal/rw"
 )
 
 // systemWithFinder is the contract the generic strategies need: a quorum
@@ -16,12 +17,30 @@ type systemWithFinder interface {
 	quorum.Finder
 }
 
+// TwoRoleReason says why Resolve refuses a read/write pair whose roles
+// differ: the pair is its read role, which need not be a coterie, so one
+// color holding a read quorum does not rule out the other (one red
+// element is a red read quorum of read-one/write-all), and on a grid
+// neither color may ever hold one.
+const TwoRoleReason = "its read and write roles differ, so a red read quorum does not rule out a green one"
+
+// TwoRoles reports whether sys is a read/write pair whose read and write
+// roles are different systems.
+func TwoRoles(sys quorum.System) bool {
+	rwv, ok := sys.(rw.ReadWrite)
+	return ok && !rw.SameRole(rwv.ReadRole(), rwv.WriteRole())
+}
+
 // Resolve picks the witness strategy every consumer of a system runs:
 // the system's own probe.Prober (probe.RandomizedProber when randomized)
 // when it carries one, else SequentialScan (RandomScan) when it
-// implements quorum.Finder. It returns nil when neither applies.
-// Deterministic strategies ignore rng.
+// implements quorum.Finder. It returns nil when neither applies, and for
+// TwoRoles pairs (see TwoRoleReason). Deterministic strategies ignore
+// rng.
 func Resolve(sys quorum.System, randomized bool) func(o probe.Oracle, rng *rand.Rand) probe.Witness {
+	if TwoRoles(sys) {
+		return nil
+	}
 	if randomized {
 		switch impl := sys.(type) {
 		case probe.RandomizedProber:

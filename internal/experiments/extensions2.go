@@ -53,40 +53,41 @@ func HeuristicComparison() Report {
 	return r
 }
 
-// LoadMeasure reports the Naor–Wool load of the constructions: uniform
-// strategy vs the balanced (multiplicative-weights) strategy vs the
-// max(1/c, c/n) lower bound — the companion measure cited in §1.2.
+// LoadMeasure reports the Naor–Wool load of the constructions: the
+// uniform strategy vs the optimal one (the exact capacity LP at read
+// fraction 1) vs the max(1/c, c/n) lower bound — the companion measure
+// cited in §1.2.
 func LoadMeasure() Report {
-	r := Report{ID: "X4", Title: "Load (Naor–Wool): uniform vs balanced strategies vs max(1/c, c/n)"}
+	r := Report{ID: "X4", Title: "Load (Naor–Wool): uniform vs optimal strategies vs max(1/c, c/n)"}
 	maj := mustSystem[*systems.Maj]("maj:7")
 	wheel := mustSystem[*systems.Wheel]("wheel:8")
 	tri := mustSystem[*systems.CW]("triang:3")
 	tree := mustSystem[*systems.Tree]("tree:2")
 	hqs := mustSystem[*systems.HQS]("hqs:2")
 	// Single-role systems load their one role under any read fraction.
-	w := rw.Workload{ReadFraction: 1}
+	opts := rw.Options{Workload: rw.Workload{ReadFraction: 1}}
 	for _, sys := range []quorum.System{maj, wheel, tri, tree, hqs} {
-		uni, err := rw.Uniform(sys, rw.Options{Workload: w})
+		uni, err := rw.Uniform(sys, opts)
 		if err != nil {
 			r.addf("%s: error: %v", sys.Name(), err)
 			continue
 		}
-		bal, gap, err := rw.BalanceLoad(sys, 2000, rw.DefaultBalanceGap)
+		opt, err := rw.Optimize(sys, opts)
 		if err != nil {
 			r.addf("%s: error: %v", sys.Name(), err)
 			continue
 		}
-		uniLoad, _ := uni.Load(w) // the unit workload always validates
-		balLoad, _ := bal.Load(w)
+		uniLoad, _ := uni.Load(opts.Workload) // the unit workload always validates
+		optLoad, _ := opt.Load(opts.Workload)
 		lower := rw.LowerBound(sys)
 		ok := "ok"
-		if balLoad < lower-1e-9 {
+		if optLoad < lower-1e-9 {
 			ok = "DEVIATES (below bound)"
 		}
-		r.addf("%-14s uniform=%7.4f  balanced=%7.4f (gap<=%.4f)  lower max(1/c,c/n)=%7.4f  %s",
-			sys.Name(), uniLoad, balLoad, gap, lower, ok)
+		r.addf("%-14s uniform=%7.4f  optimal=%7.4f  lower max(1/c,c/n)=%7.4f  %s",
+			sys.Name(), uniLoad, optLoad, lower, ok)
 	}
-	r.addf("note: the wheel shows the gap — uniform overloads the hub, balancing")
+	r.addf("note: the wheel shows the gap — uniform overloads the hub, the optimum")
 	r.addf("shifts mass to the rim quorum.")
 	return r
 }

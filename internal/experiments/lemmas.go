@@ -3,7 +3,6 @@ package experiments
 import (
 	"math/rand/v2"
 
-	"probequorum/internal/analytic"
 	"probequorum/internal/quorum"
 	"probequorum/internal/sim"
 	"probequorum/internal/systems"
@@ -49,7 +48,7 @@ func Lemma24() Report {
 		{100, 0.3}, {100, 0.1}, {400, 0.45},
 	} {
 		exact := walk.ExactExitTime(tc.n, tc.p)
-		form := analytic.WalkExit(tc.n, tc.p)
+		form := walk.Asymptotic(tc.n, tc.p)
 		mc := sim.Estimate(4000, 24, func(rng *rand.Rand) float64 {
 			return float64(walk.Simulate(tc.n, tc.p, rng))
 		})

@@ -3,7 +3,8 @@
 // paper cites alongside availability and probe complexity (§1.2). The
 // implementation is internal/rw: under the unit-capacity all-reads
 // workload a read/write strategy's load is exactly the classic
-// single-role load, bounded below by max(1/c, c/n).
+// single-role load, bounded below by max(1/c, c/n), and rw.Optimize's
+// exact capacity LP finds the optimal one.
 package load
 
 import (
@@ -36,8 +37,13 @@ func loadOf(t *testing.T, s *rw.Strategy) float64 {
 	return l
 }
 
-func balance(sys quorum.System, rounds int) (*rw.Strategy, float64, error) {
-	return rw.BalanceLoad(sys, rounds, rw.DefaultBalanceGap)
+func optimal(t *testing.T, sys quorum.System) *rw.Strategy {
+	t.Helper()
+	s, err := rw.Optimize(sys, rw.Options{Workload: readOnly})
+	if err != nil {
+		t.Fatalf("Optimize(%s): %v", sys.Name(), err)
+	}
+	return s
 }
 
 func TestUniformLoadMajority(t *testing.T) {
@@ -87,50 +93,25 @@ func TestBalanceRespectsLowerBound(t *testing.T) {
 	hqs, _ := systems.NewHQS(2)
 	for _, sys := range []quorum.System{maj, wheel, tri, tree, hqs} {
 		t.Run(sys.Name(), func(t *testing.T) {
-			bal, gap, err := balance(sys, 800)
-			if err != nil {
-				t.Fatal(err)
+			// The optimum lies between the Naor–Wool bound and the
+			// uniform strategy's load.
+			opt := loadOf(t, optimal(t, sys))
+			if lower := rw.LowerBound(sys); opt < lower-1e-9 {
+				t.Errorf("optimal load %v below the Naor–Wool bound %v", opt, lower)
 			}
-			if gap < 0 {
-				t.Errorf("negative certified gap %v", gap)
-			}
-			balanced := loadOf(t, bal)
-			// The gap is the balancer's own honesty check: its load can
-			// exceed the optimum (hence the lower bound) by at most gap.
-			if balanced > rw.LowerBound(sys)+gap+0.25 {
-				t.Errorf("balanced load %v not within certified gap %v of plausible optimum", balanced, gap)
-			}
-			uniform := loadOf(t, uniform(t, sys))
-			lower := rw.LowerBound(sys)
-			if balanced < lower-1e-9 {
-				t.Errorf("balanced load %v below the Naor–Wool bound %v", balanced, lower)
-			}
-			// The balancer should not be much worse than uniform, and for
-			// asymmetric systems it should improve on it.
-			if balanced > uniform+0.05 {
-				t.Errorf("balanced load %v worse than uniform %v", balanced, uniform)
+			if uniform := loadOf(t, uniform(t, sys)); opt > uniform+1e-9 {
+				t.Errorf("optimal load %v worse than uniform %v", opt, uniform)
 			}
 		})
 	}
 }
 
-// The wheel is the showcase: uniform loads the hub with (n-1)/n, while a
-// balanced strategy shifts mass to the rim quorum.
+// The wheel is the showcase: uniform loads the hub with (n-1)/n, while
+// the optimal strategy shifts mass to the rim quorum.
 func TestBalanceImprovesWheel(t *testing.T) {
 	w, _ := systems.NewWheel(8)
 	uniform := loadOf(t, uniform(t, w))
-	bal, _, err := balance(w, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l := loadOf(t, bal); l >= uniform-0.1 {
-		t.Errorf("balanced %v did not improve on uniform %v", l, uniform)
-	}
-}
-
-func TestBalanceErrors(t *testing.T) {
-	m, _ := systems.NewMaj(3)
-	if _, _, err := balance(m, 0); err == nil {
-		t.Error("Balance accepted zero rounds")
+	if l := loadOf(t, optimal(t, w)); l >= uniform-0.1 {
+		t.Errorf("optimal %v did not improve on uniform %v", l, uniform)
 	}
 }

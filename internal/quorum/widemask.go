@@ -192,9 +192,7 @@ func SetOfWords(n int, words []uint64) *bitset.Set {
 // capability natively. Note the count is only known after Quorums() has
 // run, so the one-time enumeration cost is still paid before the
 // refusal — the budget protects the retained adapter, not the probe.
-// Configure it before building adapters (it is read without
-// synchronization).
-var EnumerationBudget = 1 << 16
+const EnumerationBudget = 1 << 16
 
 // EnumerateQuorums is sys.Quorums() with the panics of
 // enumeration-hostile systems (wide Maj, tall HQS, over-budget
@@ -219,12 +217,12 @@ func EnumerateQuorums(sys System) (qs []*bitset.Set, err error) {
 type BudgetError struct {
 	// Name is the system's Name().
 	Name string
-	// Count is the enumerated quorum count; Budget the configured bound.
+	// Count is the enumerated quorum count; Budget the bound.
 	Count, Budget int
 }
 
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("quorum: %s enumerates %d minimal quorums, above the adaptation budget %d; implement WideMaskSystem natively or raise quorum.EnumerationBudget",
+	return fmt.Sprintf("quorum: %s enumerates %d minimal quorums, above the adaptation budget %d; implement WideMaskSystem natively",
 		e.Name, e.Count, e.Budget)
 }
 

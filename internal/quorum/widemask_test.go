@@ -123,26 +123,25 @@ func TestWideMaskedWordBridge(t *testing.T) {
 	}
 }
 
-func TestEnumerationBudgetGuard(t *testing.T) {
-	ex, err := NewExplicit("budget", 10, []*bitset.Set{
-		bitset.FromSlice(10, []int{0, 1}),
-		bitset.FromSlice(10, []int{0, 2}),
-		bitset.FromSlice(10, []int{1, 2}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := EnumerationBudget
-	EnumerationBudget = 2
-	defer func() { EnumerationBudget = old }()
+// pairsSystem is every 2-subset of n elements as its minimal quorums,
+// with no native mask path: C(363, 2) = 65,703 is just over the budget.
+type pairsSystem struct{ stubSystem }
 
-	if _, err := WideMasked(wideless{ex}); err == nil {
-		t.Fatal("WideMasked ignored the enumeration budget")
-	} else {
-		var be *BudgetError
-		if !errors.As(err, &be) || be.Count != 3 || be.Budget != 2 {
-			t.Fatalf("want BudgetError{Count:3, Budget:2}, got %v", err)
+func (p pairsSystem) Quorums() []*bitset.Set {
+	var qs []*bitset.Set
+	for a := 0; a < p.n; a++ {
+		for b := a + 1; b < p.n; b++ {
+			qs = append(qs, bitset.FromSlice(p.n, []int{a, b}))
 		}
+	}
+	return qs
+}
+
+func TestEnumerationBudgetGuard(t *testing.T) {
+	_, err := WideMasked(pairsSystem{stubSystem{n: 363}})
+	var be *BudgetError
+	if !errors.As(err, &be) || be.Count != 65703 || be.Budget != EnumerationBudget {
+		t.Fatalf("want BudgetError{Count:65703, Budget:%d}, got %v", EnumerationBudget, err)
 	}
 }
 

@@ -58,11 +58,13 @@ func (s *selfPair) ReadRole() quorum.System  { return s.System }
 func (s *selfPair) WriteRole() quorum.System { return s.System }
 
 // Pair is a read/write quorum system built from two role systems over
-// one universe. It implements quorum.System as the read role (so the
-// whole single-role measure stack — witness tables, probe strategies,
-// availability — applies to reads), with wide-mask and finder
-// delegation falling back to total bitset paths when a role lacks the
-// native capability.
+// one universe. It implements quorum.System as the read role, so witness
+// tables, availability and the exact DPs measure its reads, with
+// wide-mask and finder delegation falling back to total bitset paths
+// when a role lacks the native capability. Probe strategies (witness
+// search, the estimate, the temporal engine) serve only self-pairs: when
+// the roles differ, the read role need not be a coterie, and a red read
+// quorum does not rule out a green one (see core.TwoRoles).
 type Pair struct {
 	name   string
 	spec   string

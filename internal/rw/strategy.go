@@ -278,7 +278,7 @@ func bothRoleQuorums(ctx context.Context, rwv ReadWrite, f int) (reads, writes [
 	if len(reads) == 0 {
 		return nil, nil, fmt.Errorf("rw: read role of %s has no %s", rwv.Name(), supportName(f))
 	}
-	if sameRole(rwv.ReadRole(), rwv.WriteRole()) {
+	if SameRole(rwv.ReadRole(), rwv.WriteRole()) {
 		writes = reads
 	} else {
 		writes, err = roleQuorums(ctx, rwv.WriteRole(), f)
@@ -292,9 +292,9 @@ func bothRoleQuorums(ctx context.Context, rwv ReadWrite, f int) (reads, writes [
 	return reads, writes, nil
 }
 
-// sameRole reports whether the two role views are one system, without
+// SameRole reports whether the two role views are one system, without
 // tripping over non-comparable dynamic types.
-func sameRole(a, b quorum.System) bool {
+func SameRole(a, b quorum.System) bool {
 	if a == nil || b == nil {
 		return a == b
 	}

@@ -218,35 +218,6 @@ func TestOptimizeBeatsUniform(t *testing.T) {
 	}
 }
 
-// TestBalanceLoadGap checks the subsumed multiplicative-weights
-// balancer: it must report an honest convergence gap, and on maj:5 both
-// its strategy load and the certified interval must bracket the exact
-// optimum c/n = 3/5.
-func TestBalanceLoadGap(t *testing.T) {
-	sys := mustMaj(t, 5)
-	s, gap, err := BalanceLoad(sys, 20000, 1e-3)
-	if err != nil {
-		t.Fatalf("BalanceLoad: %v", err)
-	}
-	if gap < 0 {
-		t.Fatalf("negative certified gap %v", gap)
-	}
-	if gap > 0.05 {
-		t.Errorf("gap %v did not converge", gap)
-	}
-	load, err := s.Load(Workload{ReadFraction: 0.5})
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	opt := 3.0 / 5
-	if load < opt-1e-9 {
-		t.Errorf("balancer load %v beats the exact optimum %v; the load model is broken", load, opt)
-	}
-	if load > opt+gap+1e-9 {
-		t.Errorf("balancer load %v exceeds optimum %v by more than its own certified gap %v", load, opt, gap)
-	}
-}
-
 // TestOptionsKey pins the canonical cache key format that evaluator
 // sessions memoize strategies under.
 func TestOptionsKey(t *testing.T) {

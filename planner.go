@@ -87,14 +87,6 @@ func UniformStrategy(sys System, opts StrategyOptions) (*Strategy, error) {
 // strategy beats it under unit capacities.
 func NaorWoolLowerBound(sys System) float64 { return rw.LowerBound(sys) }
 
-// BalanceLoad approximately load-balances a single-role system by
-// multiplicative weights and reports the certified convergence gap — a
-// proven interval width around the optimal load at which it stopped
-// (the paper-named iterative balancer; OptimizeStrategy is exact).
-func BalanceLoad(sys System, maxRounds int, gapTarget float64) (*Strategy, float64, error) {
-	return rw.BalanceLoad(sys, maxRounds, gapTarget)
-}
-
 // ResilientQuorums returns the minimal f-resilient quorums of the
 // system: sets that still contain a quorum after ANY f of their
 // elements fail (small universes; see rw.MaxResilientUniverse).

@@ -9,6 +9,7 @@ package probequorum_test
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"probequorum"
@@ -150,8 +151,8 @@ func TestNewReadWritePairDuality(t *testing.T) {
 	}
 }
 
-// Façade surface smoke: self-pairing, the Naor-Wool bound, the iterative
-// balancer's certified gap, and f-resilient quorum extraction.
+// Façade surface smoke: self-pairing, the Naor-Wool bound, the optimal
+// strategy meeting it, and f-resilient quorum extraction.
 func TestPlannerFacadeSurface(t *testing.T) {
 	maj := probequorum.MustParse("maj:5")
 	pair := probequorum.SelfPair(maj)
@@ -161,7 +162,7 @@ func TestPlannerFacadeSurface(t *testing.T) {
 	if lb := probequorum.NaorWoolLowerBound(maj); lb != 3.0/5.0 {
 		t.Errorf("NaorWoolLowerBound(maj:5) = %v, want 0.6", lb)
 	}
-	s, gap, err := probequorum.BalanceLoad(maj, 5000, 1e-3)
+	s, err := probequorum.OptimizeStrategy(maj, probequorum.StrategyOptions{Workload: probequorum.Workload{ReadFraction: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +170,8 @@ func TestPlannerFacadeSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gap < 0 || l < 3.0/5.0-1e-9 || l > 3.0/5.0+gap+1e-9 {
-		t.Errorf("balanced load %v with gap %v not certified around 0.6", l, gap)
+	if math.Abs(l-3.0/5.0) > 1e-9 {
+		t.Errorf("optimal load %v, want 0.6", l)
 	}
 	rq, err := probequorum.ResilientQuorums(context.Background(), maj, 1)
 	if err != nil {

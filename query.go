@@ -361,12 +361,15 @@ func (q Query) normalized() (Query, *des.Scenario, error) {
 			return q, nil, queryErrorf("read fraction %v out of [0,1]", fr)
 		}
 	}
-	for role, caps := range map[string][]float64{
-		"": q.Capacities, "read ": q.ReadCapacities, "write ": q.WriteCapacities,
-	} {
-		for i, c := range caps {
+	// A fixed role order (shared, read, write) gives one error text for a
+	// query with several bad vectors.
+	for _, rc := range []struct {
+		role string
+		caps []float64
+	}{{"", q.Capacities}, {"read ", q.ReadCapacities}, {"write ", q.WriteCapacities}} {
+		for i, c := range rc.caps {
 			if !(c > 0) || math.IsInf(c, 0) {
-				return q, nil, queryErrorf("%scapacity of node %d is %v; want a positive finite value", role, i, c)
+				return q, nil, queryErrorf("%scapacity of node %d is %v; want a positive finite value", rc.role, i, c)
 			}
 		}
 	}

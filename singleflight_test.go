@@ -309,8 +309,9 @@ func TestSingleFlightMemoHitAllocs(t *testing.T) {
 func TestSingleFlightPermanentErrorsMemoized(t *testing.T) {
 	ctx := context.Background()
 	for kind, q := range map[string]probequorum.Query{
-		// n = 19 is past the exact DP bound.
-		"ppc": {Spec: "maj:19", Measures: []probequorum.Measure{probequorum.MeasurePPC}, Ps: []float64{0.3}},
+		// n = 36 is past the witness-table bound, and a grid has no
+		// closed-form availability.
+		"availpoly": {Spec: "grid:6x6", Measures: []probequorum.Measure{probequorum.MeasureAvailability}, Ps: []float64{0.3}},
 		// No quorum of a 2x3 grid survives five failures.
 		"strategy": {Spec: "grid:2x3", Measures: []probequorum.Measure{probequorum.MeasureLoad}, ReadFractions: []float64{0.5}, F: 5},
 	} {

@@ -538,9 +538,13 @@ func (e *Evaluator) streamOne(ctx context.Context, idx int, q Query, emit func(C
 	// Capacity vectors are validated for value in normalized(); lengths
 	// need the system, so they are checked here, once per query.
 	if len(nq.ReadFractions) > 0 {
-		for role, caps := range map[string][]float64{"read": nq.readCaps(), "write": nq.writeCaps()} {
-			if caps != nil && len(caps) != sys.Size() {
-				return queryErrorf("%d %s capacities for the %d nodes of %s", len(caps), role, sys.Size(), sys.Name())
+		// Read before write, so a query with both wrong gets one error text.
+		for _, rc := range []struct {
+			role string
+			caps []float64
+		}{{"read", nq.readCaps()}, {"write", nq.writeCaps()}} {
+			if rc.caps != nil && len(rc.caps) != sys.Size() {
+				return queryErrorf("%d %s capacities for the %d nodes of %s", len(rc.caps), rc.role, sys.Size(), sys.Name())
 			}
 		}
 	}

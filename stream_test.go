@@ -543,3 +543,29 @@ func TestStreamEstimateCancellation(t *testing.T) {
 		t.Errorf("post-cancel estimate %+v, façade (%v, %v)", est, mean, half)
 	}
 }
+
+// TestStreamCapacityErrorsDeterministic pins that a query with more than
+// one bad capacity vector always fails with the same text: the roles are
+// checked in a fixed order, read before write, so a retried batch gets
+// the same bytes back.
+func TestStreamCapacityErrorsDeterministic(t *testing.T) {
+	eval := probequorum.NewEvaluator()
+	for name, q := range map[string]probequorum.Query{
+		"lengths": {Spec: "maj:5", Measures: []probequorum.Measure{probequorum.MeasureLoad},
+			ReadFractions: []float64{0.5}, Capacities: []float64{1, 1, 1}},
+		"values": {Spec: "maj:5", Measures: []probequorum.Measure{probequorum.MeasureLoad},
+			ReadFractions: []float64{0.5}, ReadCapacities: []float64{-1}, WriteCapacities: []float64{0}},
+	} {
+		texts := map[string]int{}
+		for i := 0; i < 64; i++ {
+			_, err := eval.Do(context.Background(), q)
+			if err == nil {
+				t.Fatalf("%s: query succeeded", name)
+			}
+			texts[err.Error()]++
+		}
+		if len(texts) != 1 {
+			t.Errorf("%s: 64 runs gave %d error texts: %v", name, len(texts), texts)
+		}
+	}
+}
