@@ -296,35 +296,33 @@ func sumInts(xs []int) int {
 	return total
 }
 
-// --- Mask-native engine vs the legacy map-based DPs (PR 1) ---
+// --- Exact DPs over symmetry classes ---
 //
-// Measured on the PR 1 machine (single core, go1.24):
+// pc, ppc and the strategy trees solve count states over the witness
+// table's symmetry classes, so their cost follows the class state count,
+// not 3^n: Maj(13) has 105 states, Triang(5) 31,500 and Wheel(18) 513.
+// The vote with weights 13, 12, ..., 1 has no two interchangeable
+// elements and keeps all 3^13, the worst case at its size. Measured on a
+// 2-vCPU Xeon VM (go1.24, GOMAXPROCS 2, three runs each; "dense" is the
+// DP over all 3^n element states it replaced, which answered the same
+// bits):
 //
-//	OptimalPPC Maj(13):    legacy 2.9 s/op   -> mask 0.14 s/op   (~20x)
-//	OptimalPPC Triang(5):  legacy 51.2 s/op  -> mask 2.74 s/op   (~19x)
-//	OptimalPPC Wheel(18):  legacy n/a (guard at n=16; map would need
-//	                       multiple GiB) -> mask 58 s/op single-core
+//	OptimalPPC Maj(13):      dense 76-112 ms   -> classes 47-51 µs
+//	OptimalPPC Triang(5):    dense 1.25-1.70 s -> classes 1.0-1.4 ms
+//	OptimalPPC Wheel(18):    dense ~85 s (one run, one core)
+//	                                           -> classes 1.3-1.4 ms
+//	OptimalPPC Vote(13..1):  dense 97-109 ms   -> classes 76-94 ms
 //
-// The mask engine wins on three axes: the witness predicate is a bit test
-// against a precomputed 2^n-bit table instead of a bitset rebuild plus a
-// ContainsQuorum walk, the memo is a dense base-3-indexed slice instead of
-// a hash map, and the root branches expand across GOMAXPROCS goroutines
-// (a wash on the single-core measurement machine; scales on real cores).
+// The witness test is a bit test against a table indexed by the count
+// vector, the memo a dense slice over the packed count states, and the
+// root branches expand across GOMAXPROCS goroutines once a system has at
+// least 3^10 states.
 
 func BenchmarkOptimalPPCMaskMaj13(b *testing.B) {
 	m, _ := systems.NewMaj(13)
 	for i := 0; i < b.N; i++ {
 		if v, err := strategy.OptimalPPC(m, 0.5); err != nil || v <= 0 {
 			b.Fatalf("OptimalPPC = %v, %v", v, err)
-		}
-	}
-}
-
-func BenchmarkOptimalPPCLegacyMaj13(b *testing.B) {
-	m, _ := systems.NewMaj(13)
-	for i := 0; i < b.N; i++ {
-		if v, err := strategy.LegacyOptimalPPC(m, 0.5); err != nil || v <= 0 {
-			b.Fatalf("LegacyOptimalPPC = %v, %v", v, err)
 		}
 	}
 }
@@ -338,29 +336,28 @@ func BenchmarkOptimalPPCMaskTriang5(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimalPPCLegacyTriang5(b *testing.B) {
-	if testing.Short() {
-		b.Skip("legacy Triang(5) costs ~51s/op")
-	}
-	tri, _ := systems.NewTriang(5)
-	for i := 0; i < b.N; i++ {
-		if v, err := strategy.LegacyOptimalPPC(tri, 0.5); err != nil || v <= 0 {
-			b.Fatalf("LegacyOptimalPPC = %v, %v", v, err)
-		}
-	}
-}
-
-// BenchmarkOptimalPPCMaskWheel18 proves the raised MaxUniverse: the 3^18
-// knowledge-state DP completes (~58s single-core at PR 1; the legacy
-// engine was capped at n=16 and its map memo would need several GiB).
+// BenchmarkOptimalPPCMaskWheel18 times the largest universe the DPs
+// accept: Wheel(18)'s hub and rim leave 513 class states of its 3^18.
 func BenchmarkOptimalPPCMaskWheel18(b *testing.B) {
-	if testing.Short() {
-		b.Skip("3^18-state DP costs ~1 minute/op single-core")
-	}
 	w, _ := systems.NewWheel(18)
 	for i := 0; i < b.N; i++ {
 		if v, err := strategy.OptimalPPC(w, 0.3); err != nil || v <= 0 {
 			b.Fatalf("OptimalPPC = %v, %v", v, err)
+		}
+	}
+}
+
+// BenchmarkOptimalPPCMaskVote13 keeps the 3^n worst case timed: the vote
+// with weights 13, 12, ..., 1 has no two interchangeable elements.
+func BenchmarkOptimalPPCMaskVote13(b *testing.B) {
+	weights := make([]int, 13)
+	for i := range weights {
+		weights[i] = 13 - i
+	}
+	v, _ := systems.NewVote(weights)
+	for i := 0; i < b.N; i++ {
+		if x, err := strategy.OptimalPPC(v, 0.5); err != nil || x <= 0 {
+			b.Fatalf("OptimalPPC = %v, %v", x, err)
 		}
 	}
 }

@@ -136,13 +136,6 @@ func benchOps() []benchOp {
 				}
 			}
 		}},
-		{name: "strategy/OptimalPPC-legacy/Maj11", fn: func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := strategy.LegacyOptimalPPC(maj11, 0.5); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
 		{name: "strategy/OptimalPPC-mask/Triang4", fn: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := strategy.OptimalPPC(tri4, 0.5); err != nil {

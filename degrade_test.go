@@ -17,44 +17,59 @@ import (
 	"probequorum"
 )
 
-// opaqueMaj is majority over n elements exposing only the generic
-// capabilities: no closed-form availability (the built-in constructions
-// all have one and so never degrade it) and no native strategies, so
-// every exact measure needs the 2^n witness table and the fallbacks go
-// through the generic Monte Carlo machinery. The words capability keeps
-// table builds cancellable without enumerating the C(n, n/2+1) minimal
-// quorums; the quorum-enumeration entry point must never be reached on
-// these paths and panics if it is.
-type opaqueMaj struct{ n int }
+// opaqueVote is the weighted threshold over n elements with weights n,
+// n-1, ..., 1 (n(n+1)/2 odd, so every coloring holds a quorum of one
+// color), exposing only the generic capabilities: no closed-form
+// availability (the built-in constructions all have one and so never
+// degrade it) and no native strategies, so every exact measure needs the
+// 2^n witness table and the fallbacks go through the generic Monte Carlo
+// machinery. No two of its elements are interchangeable, so the exact DPs
+// solve all 3^n knowledge states. The words capability keeps table builds
+// cancellable without enumerating the minimal quorums; the
+// quorum-enumeration entry point must never be reached on these paths and
+// panics if it is.
+type opaqueVote struct{ n int }
 
-func (o opaqueMaj) Name() string                           { return fmt.Sprintf("OpaqueMaj(%d)", o.n) }
-func (o opaqueMaj) Size() int                              { return o.n }
-func (o opaqueMaj) ContainsQuorum(s *probequorum.Set) bool { return s.Count() > o.n/2 }
-func (o opaqueMaj) ContainsQuorumWords(words []uint64) bool {
-	total := 0
-	for _, w := range words {
-		total += bits.OnesCount64(w)
+// holds reports whether weight w exceeds half the total weight.
+func (o opaqueVote) holds(w int) bool { return 2*w > o.n*(o.n+1)/2 }
+
+func (o opaqueVote) Name() string { return fmt.Sprintf("OpaqueVote(%d..1)", o.n) }
+func (o opaqueVote) Size() int    { return o.n }
+func (o opaqueVote) ContainsQuorum(s *probequorum.Set) bool {
+	w := 0
+	for _, e := range s.Elements() {
+		w += o.n - e
 	}
-	return total > o.n/2
+	return o.holds(w)
 }
-func (o opaqueMaj) Quorums() []*probequorum.Set {
-	panic("opaqueMaj: Quorums must not be needed")
+func (o opaqueVote) ContainsQuorumWords(words []uint64) bool {
+	w := 0
+	for i, word := range words {
+		for ; word != 0; word &= word - 1 {
+			w += o.n - (64*i + bits.TrailingZeros64(word))
+		}
+	}
+	return o.holds(w)
+}
+func (o opaqueVote) Quorums() []*probequorum.Set {
+	panic("opaqueVote: Quorums must not be needed")
 }
 
-// ProbeWitness probes elements in index order until either color has a
-// majority — the minimal Prober capability the ppc fallback needs.
-func (o opaqueMaj) ProbeWitness(oc probequorum.Oracle) probequorum.Witness {
-	need := o.n/2 + 1
+// ProbeWitness probes elements in index order until either color holds
+// more than half the weight — the minimal Prober capability the ppc
+// fallback needs.
+func (o opaqueVote) ProbeWitness(oc probequorum.Oracle) probequorum.Witness {
 	greens, reds := probequorum.NewSet(o.n), probequorum.NewSet(o.n)
+	gw, rw := 0, 0
 	for e := 0; e < o.n; e++ {
 		if oc.Probe(e) == probequorum.Green {
 			greens.Add(e)
-			if greens.Count() == need {
+			if gw += o.n - e; o.holds(gw) {
 				return probequorum.Witness{Color: probequorum.Green, Set: greens}
 			}
 		} else {
 			reds.Add(e)
-			if reds.Count() == need {
+			if rw += o.n - e; o.holds(rw) {
 				return probequorum.Witness{Color: probequorum.Red, Set: reds}
 			}
 		}
@@ -63,13 +78,13 @@ func (o opaqueMaj) ProbeWitness(oc probequorum.Oracle) probequorum.Witness {
 }
 
 // degradedQuery is an exact workload that cannot finish inside 1ms: the
-// pc DP over the 3^13 knowledge states of n = 13 takes about 100ms, and
-// once it has spent the budget the ppc and availability artifacts find
-// it gone, while the Monte Carlo fallbacks need only the wide-mask view
-// and the probing strategy.
+// pc DP over the 3^13 knowledge states of n = 13 takes about 200ms on one
+// core, and once it has spent the budget the ppc and availability
+// artifacts find it gone, while the Monte Carlo fallbacks need only the
+// wide-mask view and the probing strategy.
 func degradedQuery() probequorum.Query {
 	return probequorum.Query{
-		System: opaqueMaj{13},
+		System: opaqueVote{13},
 		Measures: []probequorum.Measure{
 			probequorum.MeasurePC,
 			probequorum.MeasurePPC,
@@ -188,18 +203,18 @@ func TestDeadlineKeepsBoundErrors(t *testing.T) {
 	eval := probequorum.NewEvaluator()
 	for _, m := range []probequorum.Measure{probequorum.MeasurePC, probequorum.MeasurePPC} {
 		q := degradedQuery()
-		q.System, q.Measures = opaqueMaj{25}, []probequorum.Measure{m}
+		q.System, q.Measures = opaqueVote{25}, []probequorum.Measure{m}
 		_, err := eval.Do(context.Background(), q)
 		var be *probequorum.BoundError
 		if !errors.As(err, &be) || be.Max != 18 {
-			t.Errorf("%s of OpaqueMaj(25) under a deadline: err = %v, want the DP bound error", m, err)
+			t.Errorf("%s of OpaqueVote(25..1) under a deadline: err = %v, want the DP bound error", m, err)
 		}
 	}
 }
 
-// slowSize is opaqueMaj with a Size that outlasts a 1ms budget, so the
+// slowSize is opaqueVote with a Size that outlasts a 1ms budget, so the
 // deadline has always passed by the time a measure asks the DP bound.
-type slowSize struct{ opaqueMaj }
+type slowSize struct{ opaqueVote }
 
 func (s slowSize) Size() int {
 	time.Sleep(3 * time.Millisecond)
@@ -213,11 +228,11 @@ func TestDeadlineKeepsBoundErrorsOnSlowSystem(t *testing.T) {
 	eval := probequorum.NewEvaluator()
 	for _, m := range []probequorum.Measure{probequorum.MeasurePC, probequorum.MeasurePPC} {
 		q := degradedQuery()
-		q.System, q.Measures = slowSize{opaqueMaj{25}}, []probequorum.Measure{m}
+		q.System, q.Measures = slowSize{opaqueVote{25}}, []probequorum.Measure{m}
 		_, err := eval.Do(context.Background(), q)
 		var be *probequorum.BoundError
 		if !errors.As(err, &be) || be.Max != 18 {
-			t.Errorf("%s of a slow OpaqueMaj(25) under a 1ms deadline: err = %v, want the DP bound error", m, err)
+			t.Errorf("%s of a slow OpaqueVote(25..1) under a 1ms deadline: err = %v, want the DP bound error", m, err)
 		}
 	}
 }

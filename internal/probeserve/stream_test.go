@@ -181,7 +181,9 @@ func TestStreamFoldBitIdenticalToEval(t *testing.T) {
 // path — over a p-sweep too slow to finish: the handler must return
 // promptly with a terminal error frame (not silent EOF), and the shared
 // Evaluator must afterwards answer as if the aborted queries never ran,
-// bit-identically to a fresh session.
+// bit-identically to a fresh session. Each of triang:5's 240 expectimax
+// solves takes milliseconds (31,500 class states), so the sweep outlasts
+// the 50ms before the disconnect.
 func TestStreamDisconnectCancelsAndLeavesCachesClean(t *testing.T) {
 	shared := probequorum.NewEvaluator()
 	handler := probeserve.New(shared).Handler()
@@ -191,7 +193,7 @@ func TestStreamDisconnectCancelsAndLeavesCachesClean(t *testing.T) {
 		ps[i] = float64(i+1) / float64(len(ps)+1)
 	}
 	body, err := json.Marshal(probeserve.EvalRequest{Queries: []probequorum.Query{
-		{Spec: "maj:13", Measures: []probequorum.Measure{probequorum.MeasurePPC}, Ps: ps},
+		{Spec: "triang:5", Measures: []probequorum.Measure{probequorum.MeasurePPC}, Ps: ps},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +223,7 @@ func TestStreamDisconnectCancelsAndLeavesCachesClean(t *testing.T) {
 	// Cache consistency: the shared session answers bit-identically to a
 	// fresh one after the abort.
 	check := probequorum.Query{
-		Spec:     "maj:13",
+		Spec:     "triang:5",
 		Measures: []probequorum.Measure{probequorum.MeasurePPC, probequorum.MeasureAvailability},
 		Ps:       []float64{ps[0]},
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"probequorum/internal/bitset"
 )
@@ -84,6 +85,9 @@ const MaxTableUniverse = 26
 type WitnessTable struct {
 	n    int
 	bits []uint64
+
+	classesOnce sync.Once
+	classes     []uint64 // symmetry classes as element masks (see Classes)
 }
 
 // BuildWitnessTable evaluates the system's characteristic function on
@@ -171,10 +175,6 @@ func (t *WitnessTable) set(m uint64) { t.bits[m>>6] |= bitset.Bit(int(m)) }
 // bits pair whole words.
 func (t *WitnessTable) upwardClosure() {
 	// In-word steps: element e < 6 separates each word into 2^e-bit lanes.
-	lane := [6]uint64{
-		0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-		0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF,
-	}
 	for e := 0; e < t.n && e < 6; e++ {
 		shift := uint(1) << uint(e)
 		for i, w := range t.bits {

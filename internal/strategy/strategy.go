@@ -18,13 +18,20 @@
 // they exist to reproduce the paper's exact results (Fig. 4, Lemma 2.2,
 // Theorems 3.9, 4.2, 4.6, 4.8) on verifiable instances.
 //
-// The dynamic programs run on the mask-native engine: knowledge states are
-// uint64 element masks, the witness predicate is a precomputed 2^n-bit
-// table (quorum.WitnessTable) so every "does this side hold a quorum?"
-// check is one word-indexed bit test, and the memo is a dense
-// base-3-indexed slice filled by parallel root-level branch expansion.
-// The pre-engine map-based dynamic programs are retained in legacy.go as
-// reference implementations for cross-validation and benchmarking.
+// PC, PPC and their strategy trees run on one engine over the symmetry
+// classes of the system's witness table (quorum.WitnessTable.Classes):
+// elements that can be swapped without changing which sets hold a quorum
+// are interchangeable, so a knowledge state only needs, per class, how
+// many elements were probed green and how many red — the count states of
+// the paper's grid walk (Lemma 2.4) and urn lemmas (2.8, 2.9). The stop
+// test reads a small table indexed by the green (or red) count vector,
+// the memo is a dense slice over the packed count states, and each class
+// with an unprobed element is one branch. Symmetric knowledge states
+// share one value, computed by the same floating-point expression over
+// the same child values, so the answers are bit-identical to a DP over
+// all 3^n element states; with every class a singleton the engine is
+// that DP, state for state. YaoBound and Validate walk element masks
+// against the table directly.
 package strategy
 
 import (
@@ -42,10 +49,11 @@ import (
 )
 
 // MaxUniverse bounds the universe size accepted by the exact dynamic
-// programs (the state space is 3^n). The mask-native engine raised it from
-// the legacy bound of 16: the memo is always a dense base-3-indexed slice,
-// whose 3^18 * 4 bytes ~ 1.5 GiB worst case replaces the multi-gigabyte,
-// pointer-chasing map the legacy programs would need at this size.
+// programs. It is checked on n alone, before any witness table exists, so
+// it must cover a system without symmetry: all 3^n knowledge states, whose
+// dense memo reaches 3^18 * 4 bytes ~ 1.5 GiB. Symmetric systems solve far
+// fewer states (Maj(17) has 171, Wheel(18) 513), but only the table shows
+// how few.
 const MaxUniverse = 18
 
 // CheckUniverse returns the exact dynamic programs' BoundError for an
@@ -60,57 +68,123 @@ func CheckUniverse(n int) error {
 }
 
 // maxFloat64States bounds the full-precision PPC memo: universes with 3^n
-// at most this many states (n <= 16) memoize float64 values; n = 17 and 18
-// drop to float32 cells (~1e-7 relative error against exponentially more
-// memory), which is far below any tolerance used at those sizes. It is a
-// variable only so tests can force the float32 path on small universes.
+// at most this many element states (n <= 16) memoize float64 values;
+// n = 17 and 18 drop to float32 cells (~1e-7 relative error against
+// exponentially more memory), which is far below any tolerance used at
+// those sizes. The rule stays keyed to 3^n, not to the class state count,
+// so a symmetric system at n = 17-18 keeps the rounding its stored ppc
+// records were computed with. It is a variable only so tests can force
+// the float32 path on small universes.
 var maxFloat64States = uint64(1) << 26
 
-// parallelRootMin is the smallest universe for which the root-level branch
-// expansion is spread across goroutines; below it the whole DP is cheaper
+// parallelRootStates is the smallest state count for which the root-level
+// branch expansion is spread across goroutines (3^10, the work of a
+// 10-element system without symmetry); below it the whole DP is cheaper
 // than the goroutine handoff.
-const parallelRootMin = 10
+const parallelRootStates = 59049
 
-// engine carries the shared mask-native evaluation context: the universe,
-// the dense witness predicate and the base-3 place values of each element.
-// stop is the cancellation flag of the owning solve: the DP recursions
-// poll it (one uncontended atomic load per state) and unwind with garbage
-// values that the cancelled solver discards wholesale.
+// singletonClasses makes the engine ignore the table's symmetry and run
+// one class per element, the plain DP over all 3^n element states. It is
+// a variable only so tests can compare the two partitions.
+var singletonClasses = false
+
+// state is a knowledge state over the classes: the probed elements, the
+// count-vector indices of the greens and of the reds, and the state's
+// memo index. Per class the (greens, reds) pair with t = greens + reds
+// probed is packed triangularly as t(t+1)/2 + reds, so probing one more
+// element of the class adds t+1 to its digit on green and t+2 on red; a
+// singleton class has digits 0, 1 (green) and 2 (red), the base-3 place
+// of the element. The engine probes a class's elements lowest first, so
+// the probed elements of a class are always its t lowest and the element
+// probed next fixes t: each element carries its own steps.
+type state struct {
+	probed, greens, reds, idx uint64
+}
+
+// step is what probing one element adds to a knowledge state.
+type step struct {
+	class      uint64 // the element's class
+	count      uint64 // the class's place value in a count-vector index
+	green, red uint64 // the state-index steps on either outcome
+}
+
+// engine carries the shared evaluation context of the class DPs: the
+// partition, the stop table and the size of the state space. stop is the
+// cancellation flag of the owning solve: the DP recursions poll it (one
+// uncontended atomic load per state) and unwind with garbage values that
+// the cancelled solver discards wholesale.
 type engine struct {
-	n       int
-	full    uint64 // mask of the whole universe
-	witness *quorum.WitnessTable
-	pow3    [MaxUniverse]uint64 // pow3[e] = 3^e, the base-3 place value of element e
-	stop    atomic.Bool
+	n      int
+	full   uint64            // mask of the whole universe
+	step   [MaxUniverse]step // the steps of each element
+	holds  []uint64          // bit v: count vector v holds a quorum
+	states uint64            // number of knowledge states
+	stop   atomic.Bool
 }
 
-func newEngine(sys quorum.System) (*engine, error) {
-	return newEngineWith(context.Background(), sys, nil)
-}
-
-// newEngineWith builds the evaluation context around a prebuilt witness
-// table (nil to build one here, honoring ctx). Reusing a table across
-// measures is the Evaluator session's cache hit: the 2^n-subset
-// evaluation happens once per system instead of once per call.
-func newEngineWith(ctx context.Context, sys quorum.System, table *quorum.WitnessTable) (*engine, error) {
+// witnessTable checks the DP bound and returns the system's witness table:
+// the prebuilt one after a size check, or one built here honoring ctx.
+func witnessTable(ctx context.Context, sys quorum.System, table *quorum.WitnessTable) (*quorum.WitnessTable, error) {
 	n := sys.Size()
 	if err := CheckUniverse(n); err != nil {
 		return nil, err
 	}
 	if table == nil {
-		var err error
-		table, err = quorum.BuildWitnessTableCtx(ctx, sys)
-		if err != nil {
-			return nil, err
-		}
-	} else if table.Size() != n {
+		return quorum.BuildWitnessTableCtx(ctx, sys)
+	}
+	if table.Size() != n {
 		return nil, fmt.Errorf("strategy: witness table over %d elements does not match system over %d", table.Size(), n)
 	}
-	e := &engine{n: n, full: quorum.FullMask(n), witness: table}
-	p := uint64(1)
-	for i := 0; i < n; i++ {
-		e.pow3[i] = p
-		p *= 3
+	return table, nil
+}
+
+// newEngine lays out the class state space of the system around a
+// prebuilt witness table (nil to build one here, honoring ctx). Reusing a
+// table across measures is the Evaluator session's cache hit: the
+// 2^n-subset evaluation and the class derivation happen once per system
+// instead of once per call.
+func newEngine(ctx context.Context, sys quorum.System, table *quorum.WitnessTable) (*engine, error) {
+	table, err := witnessTable(ctx, sys, table)
+	if err != nil {
+		return nil, err
+	}
+	n := table.Size()
+	parts := table.Classes()
+	if singletonClasses {
+		parts = make([]uint64, n)
+		for el := range parts {
+			parts[el] = bitset.Bit(el)
+		}
+	}
+	e := &engine{n: n, full: quorum.FullMask(n), states: 1}
+	vectors := uint64(1)
+	for _, m := range parts {
+		size, t := uint64(bits.OnesCount64(m)), uint64(0)
+		for rest := m; rest != 0; rest &= rest - 1 {
+			green := (t + 1) * e.states
+			e.step[bits.TrailingZeros64(rest)] = step{class: m, count: vectors, green: green, red: green + e.states}
+			t++
+		}
+		e.states *= (size + 1) * (size + 2) / 2
+		vectors *= size + 1
+	}
+	// Each count vector is looked up on one set with those counts, the
+	// lowest elements of each class; by symmetry any other would answer
+	// the same. The odometer steps the counts like digits, adding a
+	// class's next element or clearing the class and carrying.
+	e.holds = make([]uint64, (vectors+63)/64)
+	var set uint64
+	for v := uint64(0); v < vectors; v++ {
+		if table.Contains(set) {
+			e.holds[v>>6] |= bitset.Bit(int(v))
+		}
+		for _, m := range parts {
+			if free := m &^ set; free != 0 {
+				set |= free & -free
+				break
+			}
+			set &^= m
+		}
 	}
 	return e, nil
 }
@@ -127,57 +201,75 @@ func (e *engine) watch(ctx context.Context) (release func()) {
 	return func() { cancel() }
 }
 
-// holdsWitness reports whether the mask's elements contain a quorum: one
-// bit test against the precomputed table.
-func (e *engine) holdsWitness(mask uint64) bool { return e.witness.Contains(mask) }
-
-// states returns 3^n, the size of the knowledge state space.
-func (e *engine) states() uint64 {
-	if e.n == 0 {
-		return 1
+// settled is the DPs' one stop test: it reports whether the knowledge
+// state holds a witness, and of which color — the greens hold a quorum,
+// or the reds do. Each side is one bit test against the count-vector
+// table.
+func (e *engine) settled(st state) (coloring.Color, bool) {
+	if e.holds[st.greens>>6]&bitset.Bit(int(st.greens)) != 0 {
+		return coloring.Green, true
 	}
-	return 3 * e.pow3[e.n-1]
+	if e.holds[st.reds>>6]&bitset.Bit(int(st.reds)) != 0 {
+		return coloring.Red, true
+	}
+	return 0, false
 }
 
-// key packs a knowledge state into one word for sparse memos (YaoBound's
-// state space is pruned to the distribution support, so a map wins there).
-func key(greens, reds uint64) uint64 { return greens<<MaxUniverse | reds }
+// children returns the knowledge states after probing el green and red;
+// el must be the lowest unprobed element of its class.
+func (e *engine) children(st state, el int) (green, red state) {
+	s := &e.step[el]
+	probed := st.probed | bitset.Bit(el)
+	return state{probed, st.greens + s.count, st.reds, st.idx + s.green},
+		state{probed, st.greens, st.reds + s.count, st.idx + s.red}
+}
 
-// parallelExpand evaluates child, once per (element, outcome) pair of the
-// root state, across GOMAXPROCS goroutines. The memo is shared and every
+// solve computes the root value of a DP whose recursion is value,
+// expanding the root's branches in parallel when the state space is big
+// enough to amortize the goroutine handoff. The memo is shared and every
 // state value is a pure function of the state, so concurrent duplication
-// is harmless and the results are deterministic.
-func (e *engine) parallelExpand(child func(elem int, red bool)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 2*e.n {
-		workers = 2 * e.n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= 2*e.n {
-					return
+// is harmless and the result is deterministic. A done ctx makes the
+// recursion unwind promptly; the partial memo is then discarded and
+// ctx.Err() returned.
+func solve[T any](ctx context.Context, e *engine, value func(state) T) (T, error) {
+	defer e.watch(ctx)()
+	if e.states >= parallelRootStates {
+		// One task per root branch and outcome.
+		var roots []state
+		for rest := e.full; rest != 0; {
+			el := bits.TrailingZeros64(rest)
+			rest &^= e.step[el].class
+			green, red := e.children(state{}, el)
+			roots = append(roots, green, red)
+		}
+		workers := min(runtime.GOMAXPROCS(0), len(roots))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for t := int(next.Add(1)) - 1; t < len(roots); t = int(next.Add(1)) - 1 {
+					value(roots[t])
 				}
-				child(t/2, t%2 == 1)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	v := value(state{})
+	if err := ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
 }
 
-// ppcSolver is the expectimax DP for PPC_p. The dense base-3-indexed memo
-// stores the bit pattern of the state value — float64 cells up to
-// maxFloat64States, float32 cells above. Zero means unset, which is sound
-// because every memoized state needs at least one probe (witness states
-// return early and are never stored). Cells are accessed atomically so
-// parallel root expansion can share the table; every state value is a
-// pure function of the state, so concurrent recomputation is benign and
-// the result is deterministic.
+// ppcSolver is the expectimax DP for PPC_p. The dense memo over the class
+// states stores the bit pattern of the state value — float64 cells while
+// 3^n is at most maxFloat64States, float32 cells above. Zero means unset,
+// which is sound because every memoized state needs at least one probe
+// (settled states return early and are never stored). Cells are accessed
+// atomically so parallel root expansion can share the table.
 type ppcSolver struct {
 	eng  *engine
 	p, q float64
@@ -189,81 +281,77 @@ func newPPCSolver(ctx context.Context, sys quorum.System, table *quorum.WitnessT
 	if p < 0 || p > 1 {
 		return nil, fmt.Errorf("strategy: probability %v out of [0,1]", p)
 	}
-	eng, err := newEngineWith(ctx, sys, table)
+	eng, err := newEngine(ctx, sys, table)
 	if err != nil {
 		return nil, err
 	}
 	s := &ppcSolver{eng: eng, p: p, q: 1 - p}
-	if n := eng.states(); n <= maxFloat64States {
-		s.d64 = make([]uint64, n)
+	if pow3(eng.n) <= maxFloat64States {
+		s.d64 = make([]uint64, eng.states)
 	} else {
-		s.d32 = make([]uint32, n)
+		s.d32 = make([]uint32, eng.states)
 	}
 	return s, nil
 }
 
-// value returns the optimal expected probes from the knowledge state
-// (greens, reds); idx is the state's base-3 index, maintained
-// incrementally along the recursion.
-func (s *ppcSolver) value(greens, reds, idx uint64) float64 {
+// pow3 returns 3^n, the number of element knowledge states.
+func pow3(n int) uint64 {
+	p := uint64(1)
+	for ; n > 0; n-- {
+		p *= 3
+	}
+	return p
+}
+
+// value returns the optimal expected probes from the knowledge state.
+func (s *ppcSolver) value(st state) float64 {
 	e := s.eng
 	if e.stop.Load() {
 		// Cancelled: unwind immediately. The value is garbage, but the
 		// whole solve is discarded, so nothing downstream reads it.
 		return 0
 	}
-	if e.holdsWitness(greens) || e.holdsWitness(reds) {
+	if _, done := e.settled(st); done {
 		return 0
 	}
 	if s.d64 != nil {
-		if b := atomic.LoadUint64(&s.d64[idx]); b != 0 {
+		if b := atomic.LoadUint64(&s.d64[st.idx]); b != 0 {
 			return math.Float64frombits(b)
 		}
-	} else if b := atomic.LoadUint32(&s.d32[idx]); b != 0 {
+	} else if b := atomic.LoadUint32(&s.d32[st.idx]); b != 0 {
 		return float64(math.Float32frombits(b))
 	}
+	// One branch per class with an unprobed element, through its lowest
+	// one: probing any other gives a symmetric state of the same value.
 	best := float64(e.n + 1)
-	for rest := e.full &^ (greens | reds); rest != 0; rest &= rest - 1 {
+	for rest := e.full &^ st.probed; rest != 0; {
+		// The children are built inline, as in children: returning them
+		// from a call makes this loop measurably slower.
 		el := bits.TrailingZeros64(rest)
-		bit := bitset.Bit(el)
-		p3 := e.pow3[el]
-		v := 1 + s.q*s.value(greens|bit, reds, idx+p3) + s.p*s.value(greens, reds|bit, idx+2*p3)
+		c := &e.step[el]
+		rest &^= c.class
+		probed := st.probed | bitset.Bit(el)
+		v := 1 + s.q*s.value(state{probed, st.greens + c.count, st.reds, st.idx + c.green}) +
+			s.p*s.value(state{probed, st.greens, st.reds + c.count, st.idx + c.red})
 		if v < best {
 			best = v
 		}
 	}
 	if s.d64 != nil {
-		atomic.StoreUint64(&s.d64[idx], math.Float64bits(best))
+		atomic.StoreUint64(&s.d64[st.idx], math.Float64bits(best))
 	} else {
-		atomic.StoreUint32(&s.d32[idx], math.Float32bits(float32(best)))
+		atomic.StoreUint32(&s.d32[st.idx], math.Float32bits(float32(best)))
 		// Return the rounded value so callers and later memo hits agree.
 		best = float64(float32(best))
 	}
 	return best
 }
 
-// solve computes the root value, expanding the root's branches in
-// parallel for universes big enough to amortize the goroutine handoff.
-// A done ctx makes the recursion unwind promptly; the partial memo is
-// then discarded and ctx.Err() returned.
-func (s *ppcSolver) solve(ctx context.Context) (float64, error) {
-	e := s.eng
-	defer e.watch(ctx)()
-	if e.n >= parallelRootMin {
-		e.parallelExpand(func(el int, red bool) {
-			bit := bitset.Bit(el)
-			if red {
-				s.value(0, bit, 2*e.pow3[el])
-			} else {
-				s.value(bit, 0, e.pow3[el])
-			}
-		})
-	}
-	v := s.value(0, 0, 0)
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return v, nil
+// probe returns the expected probes from the knowledge state when el is
+// probed next and the rest is played optimally.
+func (s *ppcSolver) probe(st state, el int) float64 {
+	green, red := s.eng.children(st, el)
+	return 1 + s.q*s.value(green) + s.p*s.value(red)
 }
 
 // OptimalPPC returns the probabilistic-model probe complexity PPC_p(S):
@@ -283,73 +371,56 @@ func OptimalPPCWithTableCtx(ctx context.Context, sys quorum.System, table *quoru
 	if err != nil {
 		return 0, err
 	}
-	return s.solve(ctx)
+	return solve(ctx, s.eng, s.value)
 }
 
 // pcSolver is the minimax DP for PC. Like ppcSolver, zero marks an unset
-// dense cell (every stored state needs at least one probe); PC values fit
+// memo cell (every stored state needs at least one probe); PC values fit
 // int32 with room to spare.
 type pcSolver struct {
-	eng   *engine
-	dense []int32
+	eng  *engine
+	memo []int32
 }
 
 func newPCSolver(ctx context.Context, sys quorum.System, table *quorum.WitnessTable) (*pcSolver, error) {
-	eng, err := newEngineWith(ctx, sys, table)
+	eng, err := newEngine(ctx, sys, table)
 	if err != nil {
 		return nil, err
 	}
-	return &pcSolver{eng: eng, dense: make([]int32, eng.states())}, nil
+	return &pcSolver{eng: eng, memo: make([]int32, eng.states)}, nil
 }
 
-func (s *pcSolver) value(greens, reds, idx uint64) int {
+func (s *pcSolver) value(st state) int {
 	e := s.eng
 	if e.stop.Load() {
 		// Cancelled: unwind immediately (see ppcSolver.value).
 		return 0
 	}
-	if e.holdsWitness(greens) || e.holdsWitness(reds) {
+	if _, done := e.settled(st); done {
 		return 0
 	}
-	if v := atomic.LoadInt32(&s.dense[idx]); v != 0 {
+	if v := atomic.LoadInt32(&s.memo[st.idx]); v != 0 {
 		return int(v)
 	}
 	best := e.n + 1
-	for rest := e.full &^ (greens | reds); rest != 0; rest &= rest - 1 {
+	for rest := e.full &^ st.probed; rest != 0; {
 		el := bits.TrailingZeros64(rest)
-		bit := bitset.Bit(el)
-		p3 := e.pow3[el]
-		g := s.value(greens|bit, reds, idx+p3)
-		r := s.value(greens, reds|bit, idx+2*p3)
-		if r > g {
-			g = r
-		}
-		if g+1 < best {
-			best = g + 1
-		}
+		c := &e.step[el]
+		rest &^= c.class
+		probed := st.probed | bitset.Bit(el)
+		g := s.value(state{probed, st.greens + c.count, st.reds, st.idx + c.green})
+		r := s.value(state{probed, st.greens, st.reds + c.count, st.idx + c.red})
+		best = min(best, 1+max(g, r))
 	}
-	atomic.StoreInt32(&s.dense[idx], int32(best))
+	atomic.StoreInt32(&s.memo[st.idx], int32(best))
 	return best
 }
 
-func (s *pcSolver) solve(ctx context.Context) (int, error) {
-	e := s.eng
-	defer e.watch(ctx)()
-	if e.n >= parallelRootMin {
-		e.parallelExpand(func(el int, red bool) {
-			bit := bitset.Bit(el)
-			if red {
-				s.value(0, bit, 2*e.pow3[el])
-			} else {
-				s.value(bit, 0, e.pow3[el])
-			}
-		})
-	}
-	v := s.value(0, 0, 0)
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return v, nil
+// probe returns the worst-case probes from the knowledge state when el is
+// probed next and the rest is played optimally.
+func (s *pcSolver) probe(st state, el int) int {
+	green, red := s.eng.children(st, el)
+	return 1 + max(s.value(green), s.value(red))
 }
 
 // OptimalPC returns the deterministic worst-case probe complexity PC(S):
@@ -368,7 +439,7 @@ func OptimalPCWithTableCtx(ctx context.Context, sys quorum.System, table *quorum
 	if err != nil {
 		return 0, err
 	}
-	return s.solve(ctx)
+	return solve(ctx, s.eng, s.value)
 }
 
 // Node is a probe strategy tree node (the decision trees of Fig. 4).
@@ -447,46 +518,15 @@ func BuildOptimalPCWithTableCtx(ctx context.Context, sys quorum.System, table *q
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.solve(ctx); err != nil {
+	if _, err := solve(ctx, s.eng, s.value); err != nil {
 		return nil, err
 	}
 	e := s.eng
 	defer e.watch(ctx)()
-	var build func(greens, reds, idx uint64) *Node
-	build = func(greens, reds, idx uint64) *Node {
-		if e.stop.Load() {
-			return nil // cancelled: the caller reports ctx.Err()
-		}
-		if e.holdsWitness(greens) {
-			return &Node{Element: -1, Leaf: coloring.Green}
-		}
-		if e.holdsWitness(reds) {
-			return &Node{Element: -1, Leaf: coloring.Red}
-		}
-		target := s.value(greens, reds, idx)
-		for rest := e.full &^ (greens | reds); rest != 0; rest &= rest - 1 {
-			el := bits.TrailingZeros64(rest)
-			bit := bitset.Bit(el)
-			p3 := e.pow3[el]
-			g := s.value(greens|bit, reds, idx+p3)
-			r := s.value(greens, reds|bit, idx+2*p3)
-			if r > g {
-				g = r
-			}
-			if g+1 == target {
-				return &Node{
-					Element: el,
-					OnGreen: build(greens|bit, reds, idx+p3),
-					OnRed:   build(greens, reds|bit, idx+2*p3),
-				}
-			}
-		}
-		if e.stop.Load() {
-			return nil // cancellation made the memoized values unusable
-		}
-		panic("strategy: no element achieves the memoized PC value")
-	}
-	root := build(0, 0, 0)
+	root := descend(e, "PC", func(st state) func(el int) bool {
+		target := s.value(st)
+		return func(el int) bool { return s.probe(st, el) == target }
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -502,10 +542,9 @@ func BuildOptimalPPC(sys quorum.System, p float64) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.solve(ctx); err != nil {
+	if _, err := solve(ctx, s.eng, s.value); err != nil {
 		return nil, err
 	}
-	e := s.eng
 	// The float32 memo rounds the stored target (~1e-7 relative), so the
 	// recomputed float64 candidate of even the optimal element can exceed
 	// it; widen the acceptance window to the memo's rounding error.
@@ -515,32 +554,45 @@ func BuildOptimalPPC(sys quorum.System, p float64) (*Node, error) {
 		}
 		return 1e-12
 	}
-	var build func(greens, reds, idx uint64) *Node
-	build = func(greens, reds, idx uint64) *Node {
-		if e.holdsWitness(greens) {
-			return &Node{Element: -1, Leaf: coloring.Green}
-		}
-		if e.holdsWitness(reds) {
-			return &Node{Element: -1, Leaf: coloring.Red}
-		}
-		target := s.value(greens, reds, idx)
+	return descend(s.eng, "PPC", func(st state) func(el int) bool {
+		target := s.value(st)
 		eps := tolerance(target)
-		for rest := e.full &^ (greens | reds); rest != 0; rest &= rest - 1 {
+		return func(el int) bool { return s.probe(st, el) <= target+eps }
+	}), nil
+}
+
+// descend builds the strategy tree from the solved memo. At each
+// unsettled state it tries the lowest unprobed element of each class in
+// index order and probes the first one optimal(st) accepts. Every other
+// unprobed element leads to states symmetric to those of its class's
+// lowest one, which comes earlier in index order, so the probed element
+// is the lowest-index optimal one. It returns nil once the engine's stop
+// flag is set; measure names the solved value in the panic of a state no
+// element attains.
+func descend(e *engine, measure string, optimal func(st state) func(el int) bool) *Node {
+	var build func(st state) *Node
+	build = func(st state) *Node {
+		if e.stop.Load() {
+			return nil // cancelled: the caller reports ctx.Err()
+		}
+		if color, done := e.settled(st); done {
+			return &Node{Element: -1, Leaf: color}
+		}
+		accept := optimal(st)
+		for rest := e.full &^ st.probed; rest != 0; {
 			el := bits.TrailingZeros64(rest)
-			bit := bitset.Bit(el)
-			p3 := e.pow3[el]
-			v := 1 + s.q*s.value(greens|bit, reds, idx+p3) + s.p*s.value(greens, reds|bit, idx+2*p3)
-			if v <= target+eps {
-				return &Node{
-					Element: el,
-					OnGreen: build(greens|bit, reds, idx+p3),
-					OnRed:   build(greens, reds|bit, idx+2*p3),
-				}
+			rest &^= e.step[el].class
+			if accept(el) {
+				green, red := e.children(st, el)
+				return &Node{Element: el, OnGreen: build(green), OnRed: build(red)}
 			}
 		}
-		panic("strategy: no element achieves the memoized PPC value")
+		if e.stop.Load() {
+			return nil // cancellation made the memoized values unusable
+		}
+		panic("strategy: no element achieves the memoized " + measure + " value")
 	}
-	return build(0, 0, 0), nil
+	return build(state{})
 }
 
 // Validate checks that the strategy tree is a correct witness-finding
@@ -548,10 +600,11 @@ func BuildOptimalPPC(sys quorum.System, p float64) (*Node, error) {
 // repeated probes on a path) and sound (at every leaf, the elements probed
 // with the declared color contain a quorum).
 func Validate(sys quorum.System, root *Node) error {
-	e, err := newEngine(sys)
+	table, err := witnessTable(context.Background(), sys, nil)
 	if err != nil {
 		return err
 	}
+	n := table.Size()
 	var walk func(nd *Node, greens, reds uint64) error
 	walk = func(nd *Node, greens, reds uint64) error {
 		if nd == nil {
@@ -562,13 +615,13 @@ func Validate(sys quorum.System, root *Node) error {
 			if nd.Leaf == coloring.Red {
 				mask = reds
 			}
-			if !e.holdsWitness(mask) {
+			if !table.Contains(mask) {
 				return fmt.Errorf("strategy: leaf declares %s but probed %s elements contain no quorum", nd.Leaf, nd.Leaf)
 			}
 			return nil
 		}
-		if nd.Element >= e.n {
-			return fmt.Errorf("strategy: element %d out of universe [0,%d)", nd.Element, e.n)
+		if nd.Element >= n {
+			return fmt.Errorf("strategy: element %d out of universe [0,%d)", nd.Element, n)
 		}
 		bit := bitset.Bit(nd.Element)
 		if (greens|reds)&bit != 0 {
@@ -582,16 +635,22 @@ func Validate(sys quorum.System, root *Node) error {
 	return walk(root, 0, 0)
 }
 
+// key packs a knowledge state into one word for sparse memos (YaoBound's
+// state space is pruned to the distribution support, so a map wins there).
+func key(greens, reds uint64) uint64 { return greens<<MaxUniverse | reds }
+
 // YaoBound returns the expected probe count of the best deterministic
 // strategy against the explicit input distribution dist. By Yao's
 // principle this lower-bounds the randomized probe complexity PCR(S).
 // The distribution weights must be nonnegative; they are normalized
 // internally.
 func YaoBound(sys quorum.System, dist []coloring.Weighted) (float64, error) {
-	e, err := newEngine(sys)
+	table, err := witnessTable(context.Background(), sys, nil)
 	if err != nil {
 		return 0, err
 	}
+	n := table.Size()
+	full := quorum.FullMask(n)
 	if len(dist) == 0 {
 		return 0, fmt.Errorf("strategy: empty distribution")
 	}
@@ -603,8 +662,8 @@ func YaoBound(sys quorum.System, dist []coloring.Weighted) (float64, error) {
 	items := make([]item, len(dist))
 	total := 0.0
 	for i, w := range dist {
-		if w.Coloring.Size() != e.n {
-			return 0, fmt.Errorf("strategy: distribution coloring %d has size %d, want %d", i, w.Coloring.Size(), e.n)
+		if w.Coloring.Size() != n {
+			return 0, fmt.Errorf("strategy: distribution coloring %d has size %d, want %d", i, w.Coloring.Size(), n)
 		}
 		items[i] = item{reds: quorum.MaskOf(w.Coloring.RedSet()), weight: w.Weight}
 		total += w.Weight
@@ -622,14 +681,14 @@ func YaoBound(sys quorum.System, dist []coloring.Weighted) (float64, error) {
 	memo := make(map[uint64]float64)
 	var value func(greens, reds uint64, support []item, mass float64) float64
 	value = func(greens, reds uint64, support []item, mass float64) float64 {
-		if e.holdsWitness(greens) || e.holdsWitness(reds) {
+		if table.Contains(greens) || table.Contains(reds) {
 			return 0
 		}
 		if v, ok := memo[key(greens, reds)]; ok {
 			return v
 		}
-		best := float64(e.n + 1)
-		for rest := e.full &^ (greens | reds); rest != 0; rest &= rest - 1 {
+		best := float64(n + 1)
+		for rest := full &^ (greens | reds); rest != 0; rest &= rest - 1 {
 			el := bits.TrailingZeros64(rest)
 			bit := bitset.Bit(el)
 			var greenItems, redItems []item

@@ -81,15 +81,16 @@ func TestDoBatchPreCancelled(t *testing.T) {
 }
 
 // TestDoBatchCancelMidSweep cancels a p-sweep whose full evaluation
-// takes tens of seconds and requires a prompt ctx.Err() return, then
+// takes about a second and requires a prompt ctx.Err() return, then
 // verifies the session's caches survived the abort unpolluted: the same
 // Evaluator must afterwards answer the aborted queries bit-identically
 // to a fresh session.
 func TestDoBatchCancelMidSweep(t *testing.T) {
 	eval := probequorum.NewEvaluator()
-	// 240 expectimax solves over a 3^13-state space do not finish in
-	// 50ms on any hardware this runs on, so the cancel always lands
-	// mid-batch; the deadline below only guards promptness.
+	// triang:5's 240 expectimax solves over its 31,500 class states take
+	// milliseconds each and do not finish in 50ms, so the cancel lands
+	// mid-batch; maj:13's 105 states solve in microseconds and add
+	// nothing. The deadline below only guards promptness.
 	ps := make([]float64, 240)
 	for i := range ps {
 		ps[i] = float64(i+1) / float64(len(ps)+1)

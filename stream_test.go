@@ -400,7 +400,10 @@ func TestToleranceZeroBitIdenticalToPR4Goldens(t *testing.T) {
 // TestStreamCancelMidStream cancels a consumer mid-iteration and
 // verifies the streaming path honors the same cache-consistency contract
 // as Do: the aborted session afterwards answers bit-identically to a
-// fresh one, as if the cancelled stream never ran.
+// fresh one, as if the cancelled stream never ran. As in
+// TestDoBatchCancelMidSweep, triang:5's 240 solves of milliseconds each
+// keep the stream running past the 50ms cancel; maj:13's solve in
+// microseconds.
 func TestStreamCancelMidStream(t *testing.T) {
 	eval := probequorum.NewEvaluator()
 	ps := make([]float64, 240)
