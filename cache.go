@@ -13,8 +13,10 @@ import (
 // that produced them. Bump it whenever a change could alter any exact
 // artifact bit (a DP tie-break, a table layout, an LP pivot rule):
 // records written under a different version silently miss, so an
-// upgraded fleet recomputes instead of trusting stale bits.
-const EngineVersion uint32 = 1
+// upgraded fleet recomputes instead of trusting stale bits. Version 2
+// stops the DPs on a red transversal, not a red quorum: the pc and ppc
+// records of rowa:, grid: and dominated systems changed.
+const EngineVersion uint32 = 2
 
 // ArtifactStore is the persistent, process-shared artifact tier below a
 // session's in-memory memos: witness tables, exact PC/PPC values,

@@ -137,7 +137,8 @@ func run(args []string) int {
 // verifies every witness, which the declarative measures do not model.
 // One words oracle carries the coloring, probe log and witness buffer
 // across every trial, and each witness is verified word-natively
-// (monochromatic, probed, and a quorum under the wide membership test).
+// (monochromatic, probed, and settling the state under the wide
+// membership test).
 func runRandomized(sys probequorum.System, p float64, trials int, seed uint64) int {
 	rng := rand.New(rand.NewPCG(seed, 2*seed+1))
 	n := sys.Size()
@@ -147,6 +148,7 @@ func runRandomized(sys probequorum.System, p float64, trials int, seed uint64) i
 		return 1
 	}
 	o := probequorum.NewWordsOracle(n)
+	all, rest := probequorum.NewSet(n).Complement(), make([]uint64, o.Words())
 	var totalProbes, greens int
 	for i := 0; i < trials; i++ {
 		probequorum.IIDColoringWordsInto(o.RedWords(), n, p, rng)
@@ -156,7 +158,7 @@ func runRandomized(sys probequorum.System, p float64, trials int, seed uint64) i
 			fmt.Fprintln(os.Stderr, "probesim:", err)
 			return 1
 		}
-		if err := verifyWordsWitness(ws, o, w); err != nil {
+		if err := verifyWordsWitness(ws, o, w, all, rest); err != nil {
 			fmt.Fprintln(os.Stderr, "probesim: unsound witness:", err)
 			return 1
 		}
@@ -182,8 +184,10 @@ func runRandomized(sys probequorum.System, p float64, trials int, seed uint64) i
 }
 
 // verifyWordsWitness checks a wide witness: every element probed, every
-// element of the claimed color, and the set a quorum superset.
-func verifyWordsWitness(ws probequorum.WideMaskSystem, o *probequorum.WordsOracle, w probequorum.WordsWitness) error {
+// element of the claimed color, and the state settled: a green witness
+// contains a quorum, and a red one meets every quorum, so the elements of
+// all outside it (assembled in rest) contain none.
+func verifyWordsWitness(ws probequorum.WideMaskSystem, o *probequorum.WordsOracle, w probequorum.WordsWitness, all *probequorum.Set, rest []uint64) error {
 	probed := o.ProbedWords()
 	reds := o.RedWords()
 	for i, word := range w.Words {
@@ -197,8 +201,13 @@ func verifyWordsWitness(ws probequorum.WideMaskSystem, o *probequorum.WordsOracl
 		if wrong != 0 {
 			return fmt.Errorf("witness word %d has wrong-colored elements %#x", i, wrong)
 		}
+		rest[i] = all.Word(i) &^ word
 	}
-	if !ws.ContainsQuorumWords(w.Words) {
+	if w.Color == probequorum.Red {
+		if ws.ContainsQuorumWords(rest) {
+			return fmt.Errorf("red witness misses a quorum")
+		}
+	} else if !ws.ContainsQuorumWords(w.Words) {
 		return fmt.Errorf("witness contains no quorum")
 	}
 	return nil

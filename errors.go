@@ -13,17 +13,10 @@ type UnsupportedError struct {
 	Name string
 	// Hint is the interface to implement ("Prober or Finder", ...).
 	Hint string
-	// Reason, when set, says why no interface would help; it replaces
-	// the hint in the message.
-	Reason string
 }
 
 func (e *UnsupportedError) Error() string {
-	why := "implement " + e.Hint
-	if e.Reason != "" {
-		why = e.Reason
-	}
-	return "probequorum: no " + e.What + " for " + e.Name + " (" + why + ")"
+	return "probequorum: no " + e.What + " for " + e.Name + " (implement " + e.Hint + ")"
 }
 
 // QueryError reports an invalid query, batch, or cell stream: the

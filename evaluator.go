@@ -490,7 +490,7 @@ func (e *Evaluator) estimateAdaptiveCtx(ctx context.Context, sys System, p float
 	} else {
 		run := core.Resolve(sys, false)
 		if run == nil {
-			return stats.Summary{}, noStrategy(sys, "Prober or Finder")
+			return stats.Summary{}, &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: "Prober or Finder"}
 		}
 		trial = func(rng *rand.Rand, o *probe.WordsOracle) float64 {
 			coloring.IIDWordsInto(o.RedWords(), n, p, rng)

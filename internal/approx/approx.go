@@ -27,11 +27,13 @@ const maxPointsPerSeries = 512
 // parameter hit an exact sampled point.
 type Answer struct {
 	Value float64
-	// Bound is a guaranteed-conservative error bound: the spread of the
-	// bracketing exact values. The measures this tier serves (PPC and
-	// availability) are monotone in p between sampled points in all
-	// regimes the engines expose, so the true value lies within the
-	// bracket and the interpolation error is at most the bracket spread.
+	// Bound is the spread of the bracketing exact values, which bounds
+	// the error where the measure is monotone between them. Availability
+	// is monotone in p. An ND coterie's PPC_p is symmetric about 1/2 and
+	// peaks there, so a "ppc" bracket around 1/2 is a miss; that it is
+	// monotone on each half is checked on the registry, not proven. Other
+	// systems' ppc may peak anywhere (a grid's does), so the Evaluator
+	// offers this tier ppc only for ND coteries.
 	Bound float64
 	// Lo and Hi are the bracketing sampled parameters (equal on an exact
 	// hit); diagnostics for the caller's error tagging.
@@ -160,7 +162,8 @@ func (c *Cache) Lookup(spec, measure string, p, tol float64) (Answer, bool) {
 	p0, p1 := ser.ps[lo-1], ser.ps[lo]
 	v0, v1 := ser.vs[lo-1], ser.vs[lo]
 	bound := math.Abs(v1 - v0)
-	if bound > tol {
+	if bound > tol || measure == "ppc" && p0 < 0.5 && 0.5 < p1 {
+		// Too wide, or a ppc bracket around its peak (see Answer.Bound).
 		c.misses.Add(1)
 		c.mu.RUnlock()
 		return Answer{}, false

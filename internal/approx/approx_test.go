@@ -54,6 +54,29 @@ func TestBracketInterpolatesWithinBound(t *testing.T) {
 	}
 }
 
+// TestPPCBracketAroundHalfMisses pins the ppc rule: an ND coterie's ppc
+// is symmetric about 1/2 and peaks there, so maj:9's samples at 0.3 and
+// 0.7 (both 6.858662) bound nothing at 0.5, whose ppc is 7.539062. A
+// bracket ending at 1/2 serves, and availability, monotone everywhere,
+// serves across 1/2.
+func TestPPCBracketAroundHalfMisses(t *testing.T) {
+	c := New()
+	c.Insert("maj:9", "ppc", 0.3, 6.858662)
+	c.Insert("maj:9", "ppc", 0.7, 6.858662)
+	if ans, ok := c.Lookup("maj:9", "ppc", 0.5, 0.05); ok {
+		t.Fatalf("ppc bracket [0.3, 0.7] served %+v", ans)
+	}
+	c.Insert("maj:9", "ppc", 0.5, 7.539062)
+	if _, ok := c.Lookup("maj:9", "ppc", 0.4, 1); !ok {
+		t.Fatal("ppc bracket [0.3, 0.5] must serve")
+	}
+	c.Insert("maj:9", "availability", 0.3, 0.1)
+	c.Insert("maj:9", "availability", 0.7, 0.9)
+	if _, ok := c.Lookup("maj:9", "availability", 0.5, 1); !ok {
+		t.Fatal("availability bracket [0.3, 0.7] must serve")
+	}
+}
+
 func TestNoExtrapolation(t *testing.T) {
 	c := New()
 	c.Insert("maj:7", "ppc", 0.2, 2.0)

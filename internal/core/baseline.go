@@ -7,7 +7,6 @@ import (
 	"probequorum/internal/coloring"
 	"probequorum/internal/probe"
 	"probequorum/internal/quorum"
-	"probequorum/internal/rw"
 )
 
 // systemWithFinder is the contract the generic strategies need: a quorum
@@ -17,30 +16,12 @@ type systemWithFinder interface {
 	quorum.Finder
 }
 
-// TwoRoleReason says why Resolve refuses a read/write pair whose roles
-// differ: the pair is its read role, which need not be a coterie, so one
-// color holding a read quorum does not rule out the other (one red
-// element is a red read quorum of read-one/write-all), and on a grid
-// neither color may ever hold one.
-const TwoRoleReason = "its read and write roles differ, so a red read quorum does not rule out a green one"
-
-// TwoRoles reports whether sys is a read/write pair whose read and write
-// roles are different systems.
-func TwoRoles(sys quorum.System) bool {
-	rwv, ok := sys.(rw.ReadWrite)
-	return ok && !rw.SameRole(rwv.ReadRole(), rwv.WriteRole())
-}
-
 // Resolve picks the witness strategy every consumer of a system runs:
 // the system's own probe.Prober (probe.RandomizedProber when randomized)
 // when it carries one, else SequentialScan (RandomScan) when it
-// implements quorum.Finder. It returns nil when neither applies, and for
-// TwoRoles pairs (see TwoRoleReason). Deterministic strategies ignore
-// rng.
+// implements quorum.Finder. It returns nil when neither applies.
+// Deterministic strategies ignore rng.
 func Resolve(sys quorum.System, randomized bool) func(o probe.Oracle, rng *rand.Rand) probe.Witness {
-	if TwoRoles(sys) {
-		return nil
-	}
 	if randomized {
 		switch impl := sys.(type) {
 		case probe.RandomizedProber:
@@ -60,26 +41,28 @@ func Resolve(sys quorum.System, randomized bool) func(o probe.Oracle, rng *rand.
 }
 
 // SequentialScan is the generic deterministic baseline: probe elements in
-// index order until one color class contains a quorum. Against it, the
-// paper's structure-aware strategies show their savings.
+// index order until the probes settle the system (see scan). Against it,
+// the paper's structure-aware strategies show their savings.
 func SequentialScan(sys systemWithFinder, o probe.Oracle) probe.Witness {
 	return scan(sys, o, nil)
 }
 
 // RandomScan is the generic randomized baseline: probe elements in a
-// uniformly random order until one color class contains a quorum. For the
+// uniformly random order until the probes settle the system. For the
 // majority system it coincides with R_Probe_Maj.
 func RandomScan(sys systemWithFinder, o probe.Oracle, rng *rand.Rand) probe.Witness {
 	return scan(sys, o, rng.Perm(sys.Size()))
 }
 
-// scan probes the elements in order (index order when nil) until one
-// color class contains a quorum.
+// scan probes the elements in order (index order when nil) until the
+// greens contain a quorum or the non-reds contain none. After the last
+// probe the non-reds are the greens, so one of the two fires by then.
 func scan(sys systemWithFinder, o probe.Oracle, order []int) probe.Witness {
 	n := sys.Size()
 	greens := bitset.New(n)
-	reds := bitset.New(n)
-	for i := 0; i < n; i++ {
+	rest := bitset.New(n) // the elements not known red
+	rest.Fill()
+	for i := 0; ; i++ {
 		e := i
 		if order != nil {
 			e = order[i]
@@ -90,22 +73,23 @@ func scan(sys systemWithFinder, o probe.Oracle, order []int) probe.Witness {
 				return extractWitness(sys, coloring.Green, greens)
 			}
 		} else {
-			reds.Add(e)
-			if sys.ContainsQuorum(reds) {
-				return extractWitness(sys, coloring.Red, reds)
+			rest.Remove(e)
+			if !sys.ContainsQuorum(rest) {
+				return extractWitness(sys, coloring.Red, rest.Complement())
 			}
 		}
 	}
-	panic("core: scan exhausted the universe without a witness")
 }
 
-// extractWitness narrows a monochromatic quorum-containing set to an
-// actual quorum when the system can find one.
-func extractWitness(sys systemWithFinder, col coloring.Color, mono *bitset.Set) probe.Witness {
-	if q, ok := sys.FindQuorumWithin(mono); ok {
+// extractWitness narrows a settled color class, which it takes over, to
+// a quorum inside it when the system can find one that still settles the
+// state: for red, one that meets every quorum itself. That always holds
+// for an ND coterie (Lemma 2.1), but not for read-one's singletons.
+func extractWitness(sys systemWithFinder, col coloring.Color, class *bitset.Set) probe.Witness {
+	if q, ok := sys.FindQuorumWithin(class); ok && (col == coloring.Green || quorum.IsTransversal(sys, q)) {
 		return probe.Witness{Color: col, Set: q}
 	}
-	return probe.Witness{Color: col, Set: mono.Clone()}
+	return probe.Witness{Color: col, Set: class}
 }
 
 // Universal is the quorum-avoiding snoop in the spirit of the universal
@@ -113,7 +97,7 @@ func extractWitness(sys systemWithFinder, col coloring.Color, mono *bitset.Set) 
 // pick a quorum avoiding all elements known to be red and probe its
 // unknown elements; every failed attempt learns at least one new red
 // element, and when no quorum avoids the red set, the red set is a
-// transversal and (for an ND coterie, Lemma 2.1) contains a red quorum.
+// transversal, the red witness, narrowed as in scan.
 func Universal(sys systemWithFinder, o probe.Oracle) probe.Witness {
 	n := sys.Size()
 	knownRed := bitset.New(n)
@@ -122,11 +106,7 @@ func Universal(sys systemWithFinder, o probe.Oracle) probe.Witness {
 		allowed := knownRed.Complement()
 		q, ok := sys.FindQuorumWithin(allowed)
 		if !ok {
-			rq, found := sys.FindQuorumWithin(knownRed)
-			if !found {
-				panic("core: Universal: red transversal contains no quorum (system not an ND coterie)")
-			}
-			return probe.Witness{Color: coloring.Red, Set: rq}
+			return extractWitness(sys, coloring.Red, knownRed)
 		}
 		sawRed := false
 		q.ForEach(func(e int) bool {

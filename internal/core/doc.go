@@ -25,4 +25,8 @@
 //     without Monte Carlo noise.
 //   - The hard input distributions of the worst-case lower bounds
 //     (hardinputs.go).
+//
+// The generic strategies stop when the greens contain a quorum or the reds
+// meet every quorum, which is right for every system; for an ND coterie
+// the reds then contain a quorum (Lemma 2.1).
 package core

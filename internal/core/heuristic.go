@@ -13,7 +13,7 @@ import (
 // to one with the fewest unprobed elements — the quorum most likely to be
 // fully live under IID failures — and probes it; every red discovery
 // triggers re-selection. When every quorum is hit by a known-red element,
-// the red set is a transversal and (Lemma 2.1) contains a red quorum.
+// the red set is a transversal, the red witness, narrowed as in scan.
 //
 // The heuristic needs the explicit quorum list, so it targets small and
 // medium systems; the ablation experiment compares it against the paper's
@@ -46,13 +46,13 @@ func GreedyQuorum(sys quorum.System, o probe.Oracle) probe.Witness {
 			}
 		}
 		if best < 0 {
-			// knownRed is a transversal; extract the red quorum witness.
+			// knownRed is a transversal: narrow it as scan does.
 			for _, q := range quorums {
-				if q.SubsetOf(knownRed) {
+				if q.SubsetOf(knownRed) && quorum.IsTransversal(sys, q) {
 					return probe.Witness{Color: coloring.Red, Set: q.Clone()}
 				}
 			}
-			panic("core: GreedyQuorum: red transversal contains no quorum (system not an ND coterie)")
+			return probe.Witness{Color: coloring.Red, Set: knownRed}
 		}
 		q := quorums[best]
 		sawRed := false

@@ -19,7 +19,7 @@ import (
 // The strategy is the one the façade's witness search runs
 // (core.Resolve): the system's own Prober (or RandomizedProber) when it
 // has one, else the generic sequential (or random) scan over
-// quorum.Finder systems; read/write pairs whose roles differ have none.
+// quorum.Finder systems.
 type Scheduler struct {
 	n          int
 	randomized bool
@@ -33,9 +33,6 @@ type Scheduler struct {
 func NewScheduler(sys quorum.System, randomized bool) (*Scheduler, error) {
 	run := core.Resolve(sys, randomized)
 	if run == nil {
-		if core.TwoRoles(sys) {
-			return nil, scenErrf("system %s has no probe strategy to schedule: %s", sys.Name(), core.TwoRoleReason)
-		}
 		if randomized {
 			return nil, scenErrf("system %s has no randomized probe strategy to schedule", sys.Name())
 		}

@@ -131,3 +131,52 @@ func TestExperimentReportsGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestX8TableMatchesGolden keeps EXPERIMENTS.md's X8 table copied from the
+// golden report: every number in its rows occurs in the X8 block of
+// reports.golden, and each "estimate → exact" pair is one golden row's
+// estimate and exact columns.
+func TestX8TableMatchesGolden(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(reportsGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(golden), "== X8:")
+	block, _, _ = strings.Cut(block, "\n== ")
+	_, section, found := strings.Cut(string(doc), "## Large-n sweep (X8)")
+	if !ok || !found {
+		t.Fatal("X8 block or section missing")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	number := regexp.MustCompile(`\d+(\.\d+)?`)
+	known := map[string]bool{}
+	for _, tok := range number.FindAllString(block, -1) {
+		known[tok] = true
+	}
+	pair := regexp.MustCompile(`(\d+\.\d+) → (\d+\.\d+)`)
+	rows := 0
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| ") || strings.HasPrefix(line, "| construction") {
+			continue
+		}
+		rows++
+		for _, tok := range number.FindAllString(line, -1) {
+			if !known[tok] {
+				t.Errorf("X8 table number %s is not in the golden's X8 block: %s", tok, line)
+			}
+		}
+		for _, m := range pair.FindAllStringSubmatch(line, -1) {
+			golden := regexp.MustCompile(`estimate=\s+` + regexp.QuoteMeta(m[1]) + `\s+exact=\s+` + regexp.QuoteMeta(m[2]) + `\s`)
+			if !golden.MatchString(block) {
+				t.Errorf("X8 table pair %s is no golden row's estimate and exact", m[0])
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no X8 table rows found")
+	}
+}

@@ -3,8 +3,11 @@
 // construction and verification.
 //
 // A witness is the object every probing algorithm must produce: either a
-// green (live) quorum, or — for a nondominated coterie, by Lemma 2.1 — a
-// red (failed) quorum proving that no live quorum exists.
+// green (live) quorum, or a red (failed) set that meets every quorum,
+// proving that no live quorum exists. For a nondominated coterie such a
+// red set contains a quorum (Lemma 2.1), so there the red witness is the
+// paper's red quorum; for any other system (a read/write pair's read
+// role, a dominated family) it may be a transversal holding none.
 package probe
 
 import (
@@ -73,12 +76,15 @@ func (o *ColoringOracle) Reset() {
 	o.order = o.order[:0]
 }
 
-// Witness is a monochromatic quorum: the output of a probing algorithm.
+// Witness is the output of a probing algorithm: a monochromatic set of
+// probed elements that settles the system state.
 type Witness struct {
 	// Color is the common color of all witness elements: Green means the
 	// witness is a live quorum, Red means it proves no live quorum exists.
 	Color coloring.Color
-	// Set contains the witness elements; it is a superset of a quorum.
+	// Set contains the witness elements. A green set contains a quorum; a
+	// red set meets every quorum, and for a nondominated coterie it
+	// contains one (Lemma 2.1).
 	Set *bitset.Set
 }
 
@@ -89,17 +95,17 @@ func (w Witness) String() string {
 
 // Errors returned by Verify.
 var (
-	ErrWitnessNotQuorum       = errors.New("probe: witness does not contain a quorum")
-	ErrWitnessWrongColor      = errors.New("probe: witness contains an element of the wrong color")
-	ErrWitnessUnprobed        = errors.New("probe: witness contains an element that was never probed")
-	ErrAmbiguousSystemState   = errors.New("probe: coloring admits both or neither monochromatic quorum (system is not an ND coterie)")
-	ErrWitnessWrongConclusion = errors.New("probe: witness color differs from the true system state")
+	ErrWitnessNotQuorum  = errors.New("probe: witness does not settle the system (a green one must contain a quorum, a red one meet every quorum)")
+	ErrWitnessWrongColor = errors.New("probe: witness contains an element of the wrong color")
+	ErrWitnessUnprobed   = errors.New("probe: witness contains an element that was never probed")
 )
 
-// Verify checks a witness against the system and the true coloring:
-// the witness must contain a quorum, all its elements must have the claimed
-// color, and — when probed is non-nil — every witness element must have
-// been probed. A nil error means the witness is sound.
+// Verify checks a witness against the system and the true coloring: all
+// its elements must have the claimed color, when probed is non-nil every
+// one must have been probed, and it must settle the state — a green
+// witness contains a quorum, and a red one meets every quorum (the
+// elements outside it contain none). Such a witness always names the
+// true state (StateOf), so a nil error means the witness is sound.
 func Verify(sys quorum.System, w Witness, col *coloring.Coloring, probed *bitset.Set) error {
 	if w.Set == nil {
 		return fmt.Errorf("nil witness set: %w", ErrWitnessNotQuorum)
@@ -119,32 +125,19 @@ func Verify(sys quorum.System, w Witness, col *coloring.Coloring, probed *bitset
 	if probed != nil && !w.Set.SubsetOf(probed) {
 		return fmt.Errorf("witness %v, probed %v: %w", w.Set, probed, ErrWitnessUnprobed)
 	}
-	if !sys.ContainsQuorum(w.Set) {
-		return fmt.Errorf("witness %v: %w", w.Set, ErrWitnessNotQuorum)
-	}
-	state, err := StateOf(sys, col)
-	if err != nil {
-		return err
-	}
-	if state != w.Color {
-		return fmt.Errorf("true state %s, witness %s: %w", state, w.Color, ErrWitnessWrongConclusion)
+	if w.Color == coloring.Red && !quorum.IsTransversal(sys, w.Set) ||
+		w.Color != coloring.Red && !sys.ContainsQuorum(w.Set) {
+		return fmt.Errorf("%s witness %v: %w", w.Color, w.Set, ErrWitnessNotQuorum)
 	}
 	return nil
 }
 
-// StateOf returns the system state under the given coloring: Green if a
-// live quorum exists, Red if a failed quorum exists. For an ND coterie
-// exactly one of the two holds; if both or neither hold the system is not
-// an ND coterie and an error is returned.
-func StateOf(sys quorum.System, col *coloring.Coloring) (coloring.Color, error) {
-	g := sys.ContainsQuorum(col.GreenSet())
-	r := sys.ContainsQuorum(col.RedSet())
-	switch {
-	case g && !r:
-		return coloring.Green, nil
-	case r && !g:
-		return coloring.Red, nil
-	default:
-		return 0, fmt.Errorf("green=%v red=%v: %w", g, r, ErrAmbiguousSystemState)
+// StateOf returns the system state under the given coloring: Green if the
+// live elements contain a quorum, Red otherwise — then the failed elements
+// meet every quorum, and for a nondominated coterie they contain one.
+func StateOf(sys quorum.System, col *coloring.Coloring) coloring.Color {
+	if sys.ContainsQuorum(col.GreenSet()) {
+		return coloring.Green
 	}
+	return coloring.Red
 }

@@ -83,3 +83,34 @@ func (t *WitnessTable) swapInvariant(a, b int) bool {
 	}
 	return true
 }
+
+// SelfDual reports whether the table is self-dual: for every set, exactly
+// one of it and its complement contains a quorum. That is the
+// characteristic function of a nondominated coterie (what CheckND checks
+// by enumeration), where a set meets every quorum exactly when it
+// contains one. Like Classes it is derived on first use and cached with
+// the table.
+func (t *WitnessTable) SelfDual() bool {
+	t.selfDualOnce.Do(func() { t.selfDual = t.mirrorDiffers() })
+	return t.selfDual
+}
+
+// mirrorDiffers compares bit m with bit full^m a word at a time. The
+// complement of mask m mirrors its position in the table, so word i must
+// be the negated bit reversal of the mirrored word; a table under six
+// elements mirrors within the low 2^n bits of its one word.
+func (t *WitnessTable) mirrorDiffers() bool {
+	if t.n < 6 {
+		size := 1 << uint(t.n)
+		used := bitset.LowMask(size)
+		w := t.bits[0] & used
+		return w^bits.Reverse64(w)>>uint(64-size) == used
+	}
+	last := len(t.bits) - 1
+	for i, w := range t.bits {
+		if w != ^bits.Reverse64(t.bits[last-i]) {
+			return false
+		}
+	}
+	return true
+}

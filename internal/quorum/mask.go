@@ -88,6 +88,9 @@ type WitnessTable struct {
 
 	classesOnce sync.Once
 	classes     []uint64 // symmetry classes as element masks (see Classes)
+
+	selfDualOnce sync.Once
+	selfDual     bool // see SelfDual
 }
 
 // BuildWitnessTable evaluates the system's characteristic function on

@@ -8,8 +8,10 @@
 // A coterie is nondominated if no other coterie dominates it; equivalently,
 // its characteristic monotone boolean function is self-dual: for every
 // 2-coloring of U, exactly one color class contains a quorum (Lemma 2.1 of
-// the paper). That equivalence is the foundation of witness search and is
-// exposed here as checkable predicates.
+// the paper). Witness search does not assume it: a red witness is a set
+// meeting every quorum, which for an ND coterie contains one. The
+// equivalence is exposed here as checkable predicates (CheckND by
+// enumeration, WitnessTable.SelfDual a word at a time).
 package quorum
 
 import (
@@ -100,15 +102,9 @@ func IsCoterie(sys System) bool {
 	return len(qs) > 0 && IsIntersecting(qs) && IsAntichain(qs)
 }
 
-// IsTransversal reports whether r intersects every quorum of sys.
-func IsTransversal(sys System, r *bitset.Set) bool {
-	for _, q := range sys.Quorums() {
-		if !q.Intersects(r) {
-			return false
-		}
-	}
-	return true
-}
+// IsTransversal reports whether r intersects every quorum of sys: the
+// elements outside r contain none. A red transversal is a red witness.
+func IsTransversal(sys System, r *bitset.Set) bool { return !sys.ContainsQuorum(r.Complement()) }
 
 // Dominates reports whether coterie R dominates coterie S over the same
 // universe: R != S and every quorum of S is a superset of some quorum of R.

@@ -94,7 +94,7 @@ func Resilience(ctx context.Context, sys quorum.System) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("read role: %w", err)
 	}
-	if SameRole(rwv.ReadRole(), rwv.WriteRole()) {
+	if sameRole(rwv.ReadRole(), rwv.WriteRole()) {
 		return rr, nil
 	}
 	wr, err := RoleResilience(ctx, rwv.WriteRole())

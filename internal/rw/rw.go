@@ -58,13 +58,15 @@ func (s *selfPair) ReadRole() quorum.System  { return s.System }
 func (s *selfPair) WriteRole() quorum.System { return s.System }
 
 // Pair is a read/write quorum system built from two role systems over
-// one universe. It implements quorum.System as the read role, so witness
-// tables, availability and the exact DPs measure its reads, with
+// one universe. It implements quorum.System as the read role, so every
+// measure (witness tables, availability, the exact DPs, witness search,
+// the estimate and the temporal engine) measures its reads, with
 // wide-mask and finder delegation falling back to total bitset paths
-// when a role lacks the native capability. Probe strategies (witness
-// search, the estimate, the temporal engine) serve only self-pairs: when
-// the roles differ, the read role need not be a coterie, and a red read
-// quorum does not rule out a green one (see core.TwoRoles).
+// when a role lacks the native capability. The read role need not be a
+// coterie, so a red read quorum does not rule out a green one; probing
+// settles red once the reds meet every read quorum, which for rowa and
+// grid, whose write quorums are the minimal sets meeting every read
+// quorum, means the reds contain a write quorum.
 type Pair struct {
 	name   string
 	spec   string

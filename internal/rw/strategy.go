@@ -278,7 +278,7 @@ func bothRoleQuorums(ctx context.Context, rwv ReadWrite, f int) (reads, writes [
 	if len(reads) == 0 {
 		return nil, nil, fmt.Errorf("rw: read role of %s has no %s", rwv.Name(), supportName(f))
 	}
-	if SameRole(rwv.ReadRole(), rwv.WriteRole()) {
+	if sameRole(rwv.ReadRole(), rwv.WriteRole()) {
 		writes = reads
 	} else {
 		writes, err = roleQuorums(ctx, rwv.WriteRole(), f)
@@ -292,9 +292,9 @@ func bothRoleQuorums(ctx context.Context, rwv ReadWrite, f int) (reads, writes [
 	return reads, writes, nil
 }
 
-// SameRole reports whether the two role views are one system, without
+// sameRole reports whether the two role views are one system, without
 // tripping over non-comparable dynamic types.
-func SameRole(a, b quorum.System) bool {
+func sameRole(a, b quorum.System) bool {
 	if a == nil || b == nil {
 		return a == b
 	}

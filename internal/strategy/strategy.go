@@ -3,10 +3,12 @@
 // §2.3 of the paper).
 //
 // A knowledge state is the pair (greens, reds) of sets of elements probed
-// so far with each outcome. A strategy may stop exactly when one of the
-// two sets contains a quorum — for a nondominated coterie this is both
-// necessary and sufficient for holding a witness. Over this state space
-// the package computes:
+// so far with each outcome. A strategy may stop exactly when the state
+// holds a witness: the greens contain a quorum, or the reds meet every
+// quorum, that is, the elements not known red contain none. For a
+// nondominated coterie the second test is the paper's "the reds contain a
+// quorum" (Lemma 2.1), and it is right for every other system too. Over
+// this state space the package computes:
 //
 //   - PC(S):     worst-case optimal probes (minimax; Lemma 2.2 evasiveness),
 //   - PPC_p(S):  probabilistic-model optimal expected probes (expectimax),
@@ -24,7 +26,7 @@
 // are interchangeable, so a knowledge state only needs, per class, how
 // many elements were probed green and how many red — the count states of
 // the paper's grid walk (Lemma 2.4) and urn lemmas (2.8, 2.9). The stop
-// test reads a small table indexed by the green (or red) count vector,
+// test reads a small table indexed by the greens' or non-reds' counts,
 // the memo is a dense slice over the packed count states, and each class
 // with an unprobed element is one branch. Symmetric knowledge states
 // share one value, computed by the same floating-point expression over
@@ -118,6 +120,7 @@ type engine struct {
 	full   uint64            // mask of the whole universe
 	step   [MaxUniverse]step // the steps of each element
 	holds  []uint64          // bit v: count vector v holds a quorum
+	last   uint64            // index of the full count vector (the class sizes)
 	states uint64            // number of knowledge states
 	stop   atomic.Bool
 }
@@ -168,6 +171,7 @@ func newEngine(ctx context.Context, sys quorum.System, table *quorum.WitnessTabl
 		e.states *= (size + 1) * (size + 2) / 2
 		vectors *= size + 1
 	}
+	e.last = vectors - 1
 	// Each count vector is looked up on one set with those counts, the
 	// lowest elements of each class; by symmetry any other would answer
 	// the same. The odometer steps the counts like digits, adding a
@@ -203,13 +207,13 @@ func (e *engine) watch(ctx context.Context) (release func()) {
 
 // settled is the DPs' one stop test: it reports whether the knowledge
 // state holds a witness, and of which color — the greens hold a quorum,
-// or the reds do. Each side is one bit test against the count-vector
-// table.
+// or the non-reds hold none. Each side is one bit test against the
+// count-vector table; the non-reds' count vector is last - reds.
 func (e *engine) settled(st state) (coloring.Color, bool) {
 	if e.holds[st.greens>>6]&bitset.Bit(int(st.greens)) != 0 {
 		return coloring.Green, true
 	}
-	if e.holds[st.reds>>6]&bitset.Bit(int(st.reds)) != 0 {
+	if rest := e.last - st.reds; e.holds[rest>>6]&bitset.Bit(int(rest)) == 0 {
 		return coloring.Red, true
 	}
 	return 0, false
@@ -597,26 +601,24 @@ func descend(e *engine, measure string, optimal func(st state) func(el int) bool
 
 // Validate checks that the strategy tree is a correct witness-finding
 // strategy for the system: complete (both children at internal nodes, no
-// repeated probes on a path) and sound (at every leaf, the elements probed
-// with the declared color contain a quorum).
+// repeated probes on a path) and sound (at every green leaf the greens
+// contain a quorum, and at every red leaf the reds meet every quorum).
 func Validate(sys quorum.System, root *Node) error {
 	table, err := witnessTable(context.Background(), sys, nil)
 	if err != nil {
 		return err
 	}
 	n := table.Size()
+	full := quorum.FullMask(n)
 	var walk func(nd *Node, greens, reds uint64) error
 	walk = func(nd *Node, greens, reds uint64) error {
 		if nd == nil {
 			return fmt.Errorf("strategy: missing child node")
 		}
 		if nd.IsLeaf() {
-			mask := greens
-			if nd.Leaf == coloring.Red {
-				mask = reds
-			}
-			if !table.Contains(mask) {
-				return fmt.Errorf("strategy: leaf declares %s but probed %s elements contain no quorum", nd.Leaf, nd.Leaf)
+			if nd.Leaf == coloring.Red && table.Contains(full&^reds) ||
+				nd.Leaf != coloring.Red && !table.Contains(greens) {
+				return fmt.Errorf("strategy: leaf declares %s but its probes do not prove it", nd.Leaf)
 			}
 			return nil
 		}
@@ -640,10 +642,10 @@ func Validate(sys quorum.System, root *Node) error {
 func key(greens, reds uint64) uint64 { return greens<<MaxUniverse | reds }
 
 // YaoBound returns the expected probe count of the best deterministic
-// strategy against the explicit input distribution dist. By Yao's
-// principle this lower-bounds the randomized probe complexity PCR(S).
-// The distribution weights must be nonnegative; they are normalized
-// internally.
+// strategy against the explicit input distribution dist, stopping where
+// the DPs do. By Yao's principle this lower-bounds the randomized probe
+// complexity PCR(S). The distribution weights must be nonnegative; they
+// are normalized internally.
 func YaoBound(sys quorum.System, dist []coloring.Weighted) (float64, error) {
 	table, err := witnessTable(context.Background(), sys, nil)
 	if err != nil {
@@ -681,7 +683,7 @@ func YaoBound(sys quorum.System, dist []coloring.Weighted) (float64, error) {
 	memo := make(map[uint64]float64)
 	var value func(greens, reds uint64, support []item, mass float64) float64
 	value = func(greens, reds uint64, support []item, mass float64) float64 {
-		if table.Contains(greens) || table.Contains(reds) {
+		if table.Contains(greens) || !table.Contains(full&^reds) {
 			return 0
 		}
 		if v, ok := memo[key(greens, reds)]; ok {

@@ -294,11 +294,7 @@ func TestBuildOptimalPCValidatesForAllSystems(t *testing.T) {
 			// against the true state.
 			coloring.All(sys.Size(), func(col *coloring.Coloring) bool {
 				leaf, probes := tree.Execute(col)
-				state, err := probe.StateOf(sys, col)
-				if err != nil {
-					t.Fatalf("StateOf: %v", err)
-				}
-				if leaf != state {
+				if state := probe.StateOf(sys, col); leaf != state {
 					t.Fatalf("tree declares %s on %s, true state %s", leaf, col, state)
 				}
 				if probes > pc {

@@ -278,14 +278,16 @@ func VerifyWitness(sys System, w Witness, col *Coloring) error {
 // built-in construction implements it with the paper's deterministic
 // strategy (Probe_Maj, Probe_CW, Probe_Tree, Probe_HQS, the hub-first
 // wheel scan, the weighted and m-ary majority scans) — falling back to a
-// sequential scan for other systems that implement Finder. Read/write
-// pairs whose two roles differ (rowa:, grid:) have no witness search;
-// self-pairs (rw:) scan their one role.
+// sequential scan for other systems that implement Finder. The scan stops
+// on a green quorum or on a red set that meets every quorum, so it is
+// right for any system: a read/write pair (rowa:, grid:, rw:) is searched
+// as its read role, and a dominated family gets a red transversal where
+// it holds no red quorum.
 func FindWitness(sys System, o Oracle) (Witness, error) {
 	if run := core.Resolve(sys, false); run != nil {
 		return run(o, nil), nil
 	}
-	return Witness{}, noStrategy(sys, "Prober or Finder")
+	return Witness{}, &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: "Prober or Finder"}
 }
 
 // FindWitnessRandomized locates a witness through the RandomizedProber
@@ -297,17 +299,7 @@ func FindWitnessRandomized(sys System, o Oracle, rng *rand.Rand) (Witness, error
 	if run := core.Resolve(sys, true); run != nil {
 		return run(o, rng), nil
 	}
-	return Witness{}, noStrategy(sys, "RandomizedProber or Finder")
-}
-
-// noStrategy is witness search's refusal of sys: an *UnsupportedError
-// naming the capability to implement, or, for a read/write pair whose
-// roles differ, saying why no capability would help.
-func noStrategy(sys System, hint string) error {
-	if core.TwoRoles(sys) {
-		return &UnsupportedError{What: "strategy", Name: sys.Name(), Reason: core.TwoRoleReason}
-	}
-	return &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: hint}
+	return Witness{}, &UnsupportedError{What: "strategy", Name: sys.Name(), Hint: "RandomizedProber or Finder"}
 }
 
 // NewWordsOracle returns a wide-universe oracle over an all-green

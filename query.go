@@ -225,10 +225,13 @@ type Query struct {
 	// A positive Tolerance additionally permits the session's
 	// approximate-answer cache (see WithApprox) to serve the exact per-p
 	// measures (ppc, availability) from nearby sampled parameters, when
-	// the guaranteed interpolation error bound fits inside the tolerance;
-	// such answers carry an ApproxNote stating the achieved bound. With
-	// Tolerance zero the approximate tier is never consulted and every
-	// answer is bit-identical to an uncached evaluation.
+	// the interpolation error bound fits inside the tolerance; such
+	// answers carry an ApproxNote stating the achieved bound. ppc is
+	// served only for ND coteries and never from a bracket around
+	// p = 1/2, where it peaks; the bound assumes it is monotone on each
+	// half, which is checked on the registry, not proven. With Tolerance
+	// zero the approximate tier is never consulted and every answer is
+	// bit-identical to an uncached evaluation.
 	Tolerance float64 `json:"tolerance,omitempty"`
 	// DeadlineMS is the query's deadline budget in milliseconds for the
 	// exact measures (pc, tree, ppc, availability). When an exact solve

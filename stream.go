@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"probequorum/internal/des"
+	"probequorum/internal/quorum"
 	"probequorum/internal/render"
 	"probequorum/internal/sim"
 	"probequorum/internal/stats"
@@ -424,21 +425,32 @@ func (e *Evaluator) memoizedExact(ent *evalEntry, sys System, m Measure, p float
 	return ok && o.err == nil
 }
 
+// selfDualTable reports whether the session memo holds the system's
+// witness table and that table is self-dual.
+func (ent *evalEntry) selfDualTable() bool {
+	ent.mu.Lock()
+	o, ok := ent.memo[artifactKey{kind: artifactTable}]
+	ent.mu.Unlock()
+	return ok && o.err == nil && o.val.(*quorum.WitnessTable).SelfDual()
+}
+
 // approxAnswer consults the approximate-answer tier for one per-p exact
 // measure, honoring the opt-in contract: only when a cache is attached,
 // the query declared a positive tolerance, and the system has a
 // canonical spec to key by (sharedSpec). The session memo outranks it
 // (lookup order memo → approx → store → compute): a tolerant query whose
 // bit-exact answer is already memoized gets that answer, never an
-// interpolation. The consultation — hit or miss — is counted in the
-// session's tier stats; an un-consulted tier counts nothing.
+// interpolation. ppc is consulted only for an ND coterie, whose memoized
+// witness table is self-dual (see approx.Answer.Bound). The consultation
+// — hit or miss — is counted in the session's tier stats; an
+// un-consulted tier counts nothing.
 func (e *Evaluator) approxAnswer(sys System, m Measure, p, tol float64) (*ApproxNote, float64, bool) {
 	if e.approx == nil || tol <= 0 {
 		return nil, 0, false
 	}
 	ent := e.entry(sys)
 	sp := ent.sharedSpec(sys)
-	if sp == "" || e.memoizedExact(ent, sys, m, p) {
+	if sp == "" || e.memoizedExact(ent, sys, m, p) || m == MeasurePPC && !ent.selfDualTable() {
 		return nil, 0, false
 	}
 	ans, ok := e.approx.Lookup(sp, string(m), p, tol)
