@@ -468,10 +468,13 @@ func halfCI(s stats.Summary) float64 {
 // tolerance-driven runs observe the in-order accumulation checkpoints
 // (sim.Chunk) and may stop early. Every system runs on per-worker words
 // oracles: the coloring and the probe log live in a few n/64-word
-// buffers reused across every trial. Systems with the wide probing
+// buffers reused across every trial, and the rng is the worker's one
+// generator, which sim reseeds per trial (valid only during the trial
+// call), so a trial allocates nothing. Systems with the wide probing
 // capability (all built-in constructions) run their words strategy,
 // which assembles its witness in the oracle's arena with no per-probe
-// heap allocation at any universe size; any other system runs its
+// heap allocation at any universe size (Probe_Maj probes a word at a
+// time); any other system runs its
 // FindWitness strategy against the same oracle. Both forms probe the
 // same elements as FindWitness on a bitset oracle, and IIDWordsInto
 // draws the same colorings as IIDInto, so summaries are bit-identical

@@ -10,6 +10,7 @@ package coloring
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"probequorum/internal/bitset"
@@ -156,33 +157,33 @@ func Parse(s string) (*Coloring, error) {
 }
 
 // IID returns a coloring where each element is independently red with
-// probability p (the paper's probabilistic model).
+// probability p (the paper's probabilistic model). The draw follows one
+// integer law: element e is red iff the low 53 bits of the rng's e-th
+// Uint64 are below ceil(p·2^53). That is exactly rng.Float64() < p, since
+// Float64 is that 53-bit integer times 2^-53 and scaling both sides by
+// 2^53 is exact, so P(red) = ceil(p·2^53)/2^53. It panics unless
+// 0 <= p <= 1 (NaN included).
 func IID(n int, p float64, rng *rand.Rand) *Coloring {
 	c := New(n)
 	IIDInto(c, p, rng)
 	return c
 }
 
-// IIDInto redraws c in place under the IID(p) model, consuming exactly the
-// same PRNG stream as IID (one Float64 per element). It lets hot trial
-// loops reuse one coloring buffer instead of allocating per trial.
+// IIDInto redraws c in place under the IID(p) law of IID, consuming
+// exactly the same PRNG stream (one Uint64 per element). It lets hot
+// trial loops reuse one coloring buffer instead of allocating per trial.
 //
 //quorum:hotpath
 func IIDInto(c *Coloring, p float64, rng *rand.Rand) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("coloring: probability %v out of [0,1]", p))
-	}
-	c.reds.Clear()
-	for e := 0; e < c.n; e++ {
-		if rng.Float64() < p {
-			c.reds.Add(e)
-		}
+	t := iidThreshold(p)
+	for i := 0; 64*i < c.n; i++ {
+		c.reds.SetWord(i, iidWord(min(c.n-64*i, 64), t, rng))
 	}
 }
 
 // IIDWords returns an IID(p) failure pattern as a wide red mask: bit e of
-// words[e/64] is set iff element e is red. It consumes the same PRNG
-// stream as IID (one Float64 per element), so word-path and bitset-path
+// words[e/64] is set iff element e is red. It draws by IID's law from the
+// same PRNG stream (one Uint64 per element), so word-path and bitset-path
 // Monte Carlo trials see identical colorings for the same rng state.
 func IIDWords(n int, p float64, rng *rand.Rand) []uint64 {
 	dst := make([]uint64, (n+63)/64)
@@ -190,26 +191,42 @@ func IIDWords(n int, p float64, rng *rand.Rand) []uint64 {
 	return dst
 }
 
-// IIDWordsInto redraws dst in place under the IID(p) model. len(dst) must
-// be ceil(n/64); bits at or above n stay zero. Like IIDInto it exists so
-// hot trial loops reuse one buffer instead of allocating per trial.
+// IIDWordsInto redraws dst in place under the IID(p) law of IID. len(dst)
+// must be ceil(n/64); bits at or above n stay zero. Like IIDInto it exists
+// so hot trial loops reuse one buffer instead of allocating per trial.
 //
 //quorum:hotpath
 func IIDWordsInto(dst []uint64, n int, p float64, rng *rand.Rand) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("coloring: probability %v out of [0,1]", p))
-	}
+	t := iidThreshold(p)
 	if len(dst) != (n+63)/64 {
 		panic(fmt.Sprintf("coloring: IIDWordsInto needs %d words for n=%d, got %d", (n+63)/64, n, len(dst)))
 	}
 	for i := range dst {
-		dst[i] = 0
+		dst[i] = iidWord(min(n-64*i, 64), t, rng)
 	}
-	for e := 0; e < n; e++ {
-		if rng.Float64() < p {
-			dst[e/64] |= bitset.Bit(e)
-		}
+}
+
+// iidThreshold returns ceil(p·2^53), the integer threshold of IID's law.
+// The negated guard rejects NaN, which both plain comparisons miss (and
+// which would convert to a threshold that makes every element red).
+func iidThreshold(p float64) uint64 {
+	if !(p >= 0 && p <= 1) {
+		panic(fmt.Sprintf("coloring: probability %v out of [0,1]", p))
 	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// iidWord draws the k <= 64 low bits of one word, one Uint64 per bit: bit
+// j is set iff the low 53 bits x of the j-th draw are below t. The bit is
+// the sign of x - t (both are below 2^54), so the loop has no branch to
+// mispredict at any p.
+func iidWord(k int, t uint64, rng *rand.Rand) uint64 {
+	var w uint64
+	for j := 0; j < k; j++ {
+		x := rng.Uint64() << 11 >> 11
+		w |= (x - t) >> 63 << uint(j)
+	}
+	return w
 }
 
 // FixedWeight returns a uniformly random coloring with exactly r red

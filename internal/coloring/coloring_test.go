@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -109,6 +110,29 @@ func TestIIDBounds(t *testing.T) {
 		}
 	}()
 	IID(5, 1.5, rng)
+}
+
+// TestIIDRejectsNaN: all four IID draws refuse a NaN probability, which
+// passes both plain range comparisons (and would read as p = 1 on the
+// integer threshold).
+func TestIIDRejectsNaN(t *testing.T) {
+	nan := math.NaN()
+	rng := rand.New(rand.NewPCG(1, 1))
+	for name, draw := range map[string]func(){
+		"IID":          func() { IID(8, nan, rng) },
+		"IIDInto":      func() { IIDInto(New(8), nan, rng) },
+		"IIDWords":     func() { IIDWords(8, nan, rng) },
+		"IIDWordsInto": func() { IIDWordsInto(make([]uint64, 1), 8, nan, rng) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(p=NaN) did not panic", name)
+				}
+			}()
+			draw()
+		}()
+	}
 }
 
 func TestIIDMean(t *testing.T) {
@@ -247,7 +271,7 @@ func TestUniformOverWeight(t *testing.T) {
 	}
 }
 
-// IIDWords must consume exactly the PRNG stream of IID (one Float64 per
+// IIDWords must consume exactly the PRNG stream of IID (one Uint64 per
 // element) and set exactly the red bits.
 func TestIIDWordsMatchesIID(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 127, 1025} {
@@ -262,5 +286,115 @@ func TestIIDWordsMatchesIID(t *testing.T) {
 		if n%64 != 0 && words[len(words)-1]>>(uint(n)%64) != 0 {
 			t.Fatalf("n=%d: bits above the universe are set", n)
 		}
+	}
+}
+
+// floatIIDReference is an independent reference for the IID law: element
+// e is red iff the e-th rng.Float64() is below p.
+func floatIIDReference(n int, p float64, rng *rand.Rand) []bool {
+	red := make([]bool, n)
+	for e := range red {
+		red[e] = rng.Float64() < p
+	}
+	return red
+}
+
+// checkIIDDraws redraws an all-red coloring with IIDInto and an all-ones
+// buffer with IIDWordsInto, each from its own source made by newSrc, and
+// compares both with the Float64 reference on a third: the same red
+// elements, no bits at or above n, and the same next Uint64 afterwards
+// (one Uint64 per element).
+func checkIIDDraws(t *testing.T, n int, p float64, newSrc func() rand.Source) {
+	t.Helper()
+	refRNG := rand.New(newSrc())
+	want := floatIIDReference(n, p, refRNG)
+	next := refRNG.Uint64()
+
+	colRNG := rand.New(newSrc())
+	col := New(n)
+	for e := 0; e < n; e++ {
+		col.SetColor(e, Red)
+	}
+	IIDInto(col, p, colRNG)
+	wordsRNG := rand.New(newSrc())
+	words := make([]uint64, (n+63)/64)
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	IIDWordsInto(words, n, p, wordsRNG)
+	for e := 0; e < n; e++ {
+		if col.IsRed(e) != want[e] {
+			t.Fatalf("n=%d p=%v element %d: IIDInto red=%v, Float64 reference %v", n, p, e, col.IsRed(e), want[e])
+		}
+		if wordRed := words[e/64]>>(uint(e)%64)&1 != 0; wordRed != want[e] {
+			t.Fatalf("n=%d p=%v element %d: IIDWordsInto red=%v, Float64 reference %v", n, p, e, wordRed, want[e])
+		}
+	}
+	if n%64 != 0 && words[len(words)-1]>>(uint(n)%64) != 0 {
+		t.Fatalf("n=%d p=%v: bits above the universe are set", n, p)
+	}
+	if got := colRNG.Uint64(); got != next {
+		t.Fatalf("n=%d p=%v: IIDInto left the stream at %#x, reference at %#x", n, p, got, next)
+	}
+	if got := wordsRNG.Uint64(); got != next {
+		t.Fatalf("n=%d p=%v: IIDWordsInto left the stream at %#x, reference at %#x", n, p, got, next)
+	}
+}
+
+// scriptedSource replays fixed Uint64 values, cycling.
+type scriptedSource struct {
+	vals []uint64
+	i    int
+}
+
+func (s *scriptedSource) Uint64() uint64 {
+	v := s.vals[s.i%len(s.vals)]
+	s.i++
+	return v
+}
+
+// TestIIDWordsMatchFloat64Reference compares both in-place draws with a
+// Float64 loop written here, at the edges of the word layout and at
+// probabilities where the integer threshold is easy to get wrong. Besides
+// PCG streams it replays values whose low 53 bits sit just below, at and
+// above p·2^53 under random high bits, where a reading of the wrong 53
+// bits or an off-by-one threshold differs from the reference.
+func TestIIDWordsMatchFloat64Reference(t *testing.T) {
+	ps := []float64{0, 1, 0.5, 0.25, 0x1p-53, 0x1p-54, 1e-300, 1 - 0x1p-53,
+		math.Nextafter(0.3, 0), 0.3, math.Nextafter(0.3, 1),
+		math.Nextafter(0.5, 0), math.Nextafter(0.5, 1)}
+	high := rand.New(rand.NewPCG(5, 5))
+	for _, n := range []int{1, 63, 64, 65, 127, 1025} {
+		for i, p := range ps {
+			seed := uint64(n)<<8 | uint64(i)
+			checkIIDDraws(t, n, p, func() rand.Source { return rand.NewPCG(seed, 3) })
+
+			base := uint64(p * (1 << 53)) // floor: p·2^53 is exact
+			var vals []uint64
+			for _, d := range []int64{-2, -1, 0, 1, 2} {
+				low := int64(base) + d
+				if low < 0 || low >= 1<<53 {
+					continue
+				}
+				vals = append(vals, high.Uint64()&^(1<<53-1)|uint64(low))
+			}
+			vals = append(vals, high.Uint64()&^(1<<53-1), high.Uint64()|(1<<53-1))
+			checkIIDDraws(t, n, p, func() rand.Source { return &scriptedSource{vals: vals} })
+		}
+	}
+}
+
+// BenchmarkIIDWordsInto times one n = 1025 draw, the coloring of a wide
+// Monte Carlo trial, at three failure probabilities.
+func BenchmarkIIDWordsInto(b *testing.B) {
+	const n = 1025
+	for _, p := range []float64{0.1, 0.3, 0.5} {
+		b.Run(fmt.Sprintf("n=%d/p=%.1f", n, p), func(b *testing.B) {
+			dst := make([]uint64, (n+63)/64)
+			rng := rand.New(rand.NewPCG(1, 2))
+			for b.Loop() {
+				IIDWordsInto(dst, n, p, rng)
+			}
+		})
 	}
 }

@@ -132,11 +132,11 @@ func TestExperimentReportsGolden(t *testing.T) {
 	}
 }
 
-// TestX8TableMatchesGolden keeps EXPERIMENTS.md's X8 table copied from the
-// golden report: every number in its rows occurs in the X8 block of
-// reports.golden, and each "estimate → exact" pair is one golden row's
-// estimate and exact columns.
-func TestX8TableMatchesGolden(t *testing.T) {
+// docAndGoldenBlock returns the EXPERIMENTS.md section under heading (up
+// to the next "## " heading) and the block of experiment id in
+// reports.golden (from its "== id:" title to the next report).
+func docAndGoldenBlock(t *testing.T, heading, id string) (section, block string) {
+	t.Helper()
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
@@ -145,18 +145,35 @@ func TestX8TableMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, block, ok := strings.Cut(string(golden), "== X8:")
+	_, block, ok := strings.Cut(string(golden), "== "+id+":")
 	block, _, _ = strings.Cut(block, "\n== ")
-	_, section, found := strings.Cut(string(doc), "## Large-n sweep (X8)")
+	_, section, found := strings.Cut(string(doc), heading)
 	if !ok || !found {
-		t.Fatal("X8 block or section missing")
+		t.Fatalf("%s block or %q section missing", id, heading)
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
-	number := regexp.MustCompile(`\d+(\.\d+)?`)
+	return section, block
+}
+
+// numberToken matches the numbers a document quotes from a report.
+var numberToken = regexp.MustCompile(`\d+(\.\d+)?`)
+
+// goldenNumbers returns the set of number tokens in s.
+func goldenNumbers(s string) map[string]bool {
 	known := map[string]bool{}
-	for _, tok := range number.FindAllString(block, -1) {
+	for _, tok := range numberToken.FindAllString(s, -1) {
 		known[tok] = true
 	}
+	return known
+}
+
+// TestX8TableMatchesGolden keeps EXPERIMENTS.md's X8 table copied from the
+// golden report: every number in its rows occurs in the X8 block of
+// reports.golden, and each "estimate → exact" pair is one golden row's
+// estimate and exact columns.
+func TestX8TableMatchesGolden(t *testing.T) {
+	section, block := docAndGoldenBlock(t, "## Large-n sweep (X8)", "X8")
+	known := goldenNumbers(block)
 	pair := regexp.MustCompile(`(\d+\.\d+) → (\d+\.\d+)`)
 	rows := 0
 	for _, line := range strings.Split(section, "\n") {
@@ -164,7 +181,7 @@ func TestX8TableMatchesGolden(t *testing.T) {
 			continue
 		}
 		rows++
-		for _, tok := range number.FindAllString(line, -1) {
+		for _, tok := range numberToken.FindAllString(line, -1) {
 			if !known[tok] {
 				t.Errorf("X8 table number %s is not in the golden's X8 block: %s", tok, line)
 			}
@@ -178,5 +195,24 @@ func TestX8TableMatchesGolden(t *testing.T) {
 	}
 	if rows == 0 {
 		t.Fatal("no X8 table rows found")
+	}
+}
+
+// TestX9ParagraphMatchesGolden keeps EXPERIMENTS.md's X9 paragraph copied
+// from the golden report: every number in its prose (before the CLI
+// example) occurs in the X9 block of reports.golden. The block masks the
+// wall-clock fields, so the paragraph can quote only seeded counts.
+func TestX9ParagraphMatchesGolden(t *testing.T) {
+	section, block := docAndGoldenBlock(t, "## Streaming sweep (X9)", "X9")
+	prose, _, _ := strings.Cut(section, "```")
+	known := goldenNumbers(block)
+	toks := numberToken.FindAllString(prose, -1)
+	for _, tok := range toks {
+		if !known[tok] {
+			t.Errorf("X9 paragraph number %s is not in the golden's X9 block", tok)
+		}
+	}
+	if len(toks) < 20 {
+		t.Fatalf("X9 paragraph quotes %d numbers; its trial counts are missing", len(toks))
 	}
 }

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"fmt"
+	"math/bits"
 
 	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
@@ -24,6 +25,11 @@ import (
 //	o.Reset()                                      // clear probes + arena
 //	w := prober.ProbeWitnessWords(o)               // probe
 //	_ = o.Probes()                                 // the trial value
+//
+// A strategy probes one element with Probe, or a block of elements of
+// one word with ProbeWord: a strategy whose order is fixed in advance and
+// whose answers only decide where it stops (Probe_Maj) probes a word at a
+// time.
 //
 // A WordsOracle is not safe for concurrent use; give each worker its own.
 type WordsOracle struct {
@@ -92,6 +98,18 @@ func (o *WordsOracle) Probe(e int) coloring.Color {
 		return coloring.Red
 	}
 	return coloring.Green
+}
+
+// ProbeWord probes the elements of word w selected by mask (bit j is
+// element 64w+j) at once and returns the red ones among them. It counts
+// each newly probed element once, exactly as Probe over the same
+// elements would.
+//
+//quorum:hotpath
+func (o *WordsOracle) ProbeWord(w int, mask uint64) (red uint64) {
+	o.count += bits.OnesCount64(mask &^ o.probed[w])
+	o.probed[w] |= mask
+	return o.reds[w] & mask
 }
 
 // Probes implements Oracle.

@@ -3,9 +3,13 @@
 // experiment drivers and benchmarks.
 //
 // Trial loops run in parallel across GOMAXPROCS workers with results
-// bit-identical to the sequential loop: every trial derives its own PRNG
-// from (seed, trial index), trial outcomes land in a slice indexed by
-// trial, and the Welford accumulation runs over that slice in trial order.
+// bit-identical to the sequential loop: every trial's PRNG stream is a
+// function of (seed, trial index) alone, and the Welford accumulation
+// runs over the trial values in trial order. Each worker owns one
+// generator (a rand.Rand over a PCG) and reseeds it with
+// PCG(seed, index+1) before every trial, so the loop allocates nothing
+// per trial; the rng a trial function receives is therefore valid only
+// during that call and must not be retained.
 package sim
 
 import (
@@ -44,12 +48,14 @@ type Chunk struct {
 	Summary stats.Summary
 }
 
-// Estimate runs trials independent evaluations of f, each with its own
-// deterministically derived PRNG, and summarizes the results. Trials run
-// concurrently, so f must be safe for concurrent invocation (its rng is
-// per-trial; any captured state must be read-only). The summary is
-// bit-identical to EstimateSeq for the same (trials, seed, f). A
-// panicking trial panics with its *PanicError.
+// Estimate runs trials independent evaluations of f, each on the PRNG
+// stream PCG(seed, i+1) of its trial index i, and summarizes the results.
+// Trials run concurrently, so f must be safe for concurrent invocation
+// (any captured state must be read-only). Its rng is its worker's one
+// generator, reseeded for the trial: it is valid only during the call and
+// must not be retained. The summary is bit-identical to EstimateSeq for
+// the same (trials, seed, f). A panicking trial panics with its
+// *PanicError.
 func Estimate(trials int, seed uint64, f func(rng *rand.Rand) float64) stats.Summary {
 	s, err := EstimateAdaptiveCtx(context.Background(), trials, seed, 0,
 		func() struct{} { return struct{}{} },
@@ -73,7 +79,10 @@ func Estimate(trials int, seed uint64, f func(rng *rand.Rand) float64) stats.Sum
 // newState runs once per worker and its result is passed to every trial
 // that worker executes, so hot loops can reuse coloring/oracle buffers
 // instead of reallocating them per trial; f must be safe for concurrent
-// invocation across distinct states. Both the sequential and the
+// invocation across distinct states. Each worker likewise owns one
+// generator, reseeded to PCG(seed, i+1) before trial i: the rng f
+// receives is valid only during that call and must not be retained. The
+// loop itself allocates nothing per trial. Both the sequential and the
 // parallel loops check ctx between chunks of trials, and a done context
 // aborts the run with ctx.Err() and no summary.
 //
@@ -92,13 +101,14 @@ func EstimateAdaptiveCtx[S any](ctx context.Context, maxTrials int, seed uint64,
 	if maxTrials < parallelMinTrials || workers <= 1 {
 		var acc stats.Accumulator
 		state := newState()
+		g := newGenerator()
 		var vals [trialChunk]float64
 		for start := 0; start < maxTrials; start += trialChunk {
 			if ctx.Err() != nil {
 				return stats.Summary{}, ctx.Err()
 			}
 			end := min(start+trialChunk, maxTrials)
-			if err := runTrials(seed, start, end, vals[:end-start], state, f); err != nil {
+			if err := runTrials(g, seed, start, end, vals[:end-start], state, f); err != nil {
 				return stats.Summary{}, err
 			}
 			for _, v := range vals[:end-start] {
@@ -145,6 +155,7 @@ func EstimateAdaptiveCtx[S any](ctx context.Context, maxTrials int, seed uint64,
 		go func() {
 			defer wg.Done()
 			state := newState()
+			g := newGenerator()
 			for {
 				if stopped.Load() || ctx.Err() != nil {
 					return
@@ -159,7 +170,7 @@ func EstimateAdaptiveCtx[S any](ctx context.Context, maxTrials int, seed uint64,
 				}
 				buf := pool.Get().(*[]float64)
 				vals := (*buf)[:end-start]
-				if err := runTrials(seed, start, end, vals, state, f); err != nil {
+				if err := runTrials(g, seed, start, end, vals, state, f); err != nil {
 					pool.Put(buf)
 					trialErrOnce.Do(func() { trialErr = err })
 					stopped.Store(true)
@@ -238,41 +249,59 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: trial function panicked: %v", e.Value)
 }
 
+// generator is a worker's one PRNG: a rand.Rand over a PCG that the
+// trial loops reseed before every trial.
+type generator struct {
+	src *rand.PCG
+	rng *rand.Rand
+}
+
+func newGenerator() generator {
+	src := rand.NewPCG(0, 0)
+	return generator{src: src, rng: rand.New(src)}
+}
+
+// trial returns the generator reseeded to trial i's stream: a function
+// of (seed, i) only, so results do not depend on which worker runs the
+// trial. A rand.Rand keeps no state of its own, so the stream equals
+// that of rand.New(rand.NewPCG(seed, uint64(i)+1)).
+func (g generator) trial(seed uint64, i int) *rand.Rand {
+	g.src.Seed(seed, uint64(i)+1)
+	return g.rng
+}
+
 // runTrials evaluates trials [start, end) into vals, converting a panic
 // in the trial function into a *PanicError, so one poisonous trial fails
 // its estimate instead of killing the process. Recovery is per chunk,
 // not per trial, to keep the defer off the hot path.
 //
 //quorum:hotpath
-func runTrials[S any](seed uint64, start, end int, vals []float64, state S, f func(*rand.Rand, S) float64) (err error) {
+func runTrials[S any](g generator, seed uint64, start, end int, vals []float64, state S, f func(*rand.Rand, S) float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r}
 		}
 	}()
 	for i := start; i < end; i++ {
-		vals[i-start] = f(trialRNG(seed, i), state)
+		vals[i-start] = f(g.trial(seed, i), state)
 	}
 	return nil
 }
 
 // EstimateSeq is the single-threaded reference implementation of
-// Estimate, retained for cross-validation and benchmarking.
+// Estimate, retained for cross-validation and benchmarking. Like
+// Estimate it hands f one generator reseeded per trial, valid only
+// during the call.
 func EstimateSeq(trials int, seed uint64, f func(rng *rand.Rand) float64) stats.Summary {
 	if trials <= 0 {
 		panic(fmt.Sprintf("sim: trials must be positive, got %d", trials))
 	}
 	var acc stats.Accumulator
+	g := newGenerator()
 	for i := 0; i < trials; i++ {
-		acc.Add(f(trialRNG(seed, i)))
+		acc.Add(f(g.trial(seed, i)))
 	}
 	return acc.Summary()
-}
-
-// trialRNG returns the PRNG of trial i: a function of (seed, i) only, so
-// results do not depend on which worker runs the trial.
-func trialRNG(seed uint64, i int) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, uint64(i)+1))
 }
 
 // WorstCase evaluates eval on every coloring produced by gen and returns

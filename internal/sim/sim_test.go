@@ -10,6 +10,9 @@ import (
 	"testing"
 
 	"probequorum/internal/coloring"
+	"probequorum/internal/probe"
+	"probequorum/internal/stats"
+	"probequorum/internal/systems"
 )
 
 func TestEstimateDeterministicReproducibility(t *testing.T) {
@@ -275,5 +278,73 @@ func TestEstimateAdaptiveCancellation(t *testing.T) {
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("observer-cancelled run: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestTrialStreamIsPCGOfSeedAndIndex pins what the per-worker generators
+// must reproduce: trial i of every loop draws the stream of a fresh
+// rand.New(rand.NewPCG(seed, i+1)), on the sequential path, the worker
+// path and EstimateSeq alike.
+func TestTrialStreamIsPCGOfSeedAndIndex(t *testing.T) {
+	const seed, trials = 11, 1000
+	var want stats.Accumulator
+	for i := 0; i < trials; i++ {
+		rng := rand.New(rand.NewPCG(seed, uint64(i)+1))
+		want.Add(float64(rng.Uint64()>>11) + float64(rng.Uint64()>>11))
+	}
+	f := func(rng *rand.Rand, _ struct{}) float64 {
+		return float64(rng.Uint64()>>11) + float64(rng.Uint64()>>11)
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := EstimateAdaptiveCtx(context.Background(), trials, seed, workers,
+			func() struct{} { return struct{}{} }, f, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want.Summary() {
+			t.Errorf("workers=%d: %+v, want %+v", workers, got, want.Summary())
+		}
+	}
+	if got := EstimateSeq(trials, seed, func(rng *rand.Rand) float64 { return f(rng, struct{}{}) }); got != want.Summary() {
+		t.Errorf("EstimateSeq: %+v, want %+v", got, want.Summary())
+	}
+}
+
+// TestWideEstimateLoopAllocsFlat pins the loop's allocation contract with
+// a words trial (Maj(1025) on a per-worker WordsOracle): trials reuse
+// their worker's generator and oracle, so the allocations do not grow
+// with the trial count. The sequential path allocates no more for 4,096
+// trials than for 64. The worker path needs at least 256 trials, and its
+// chunk buffers and out-of-order map grow with how far workers run ahead
+// of the in-order frontier; its 3,840 extra trials over a 256-trial run
+// must stay under the benchmark's 0.05 allocations per trial (a fresh
+// generator per trial cost two each).
+func TestWideEstimateLoopAllocsFlat(t *testing.T) {
+	m, err := systems.NewMaj(1025)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.Size()
+	newState := func() *probe.WordsOracle { return probe.NewWordsOracle(n) }
+	trial := func(rng *rand.Rand, o *probe.WordsOracle) float64 {
+		coloring.IIDWordsInto(o.RedWords(), n, 0.3, rng)
+		o.Reset()
+		m.ProbeWitnessWords(o)
+		return float64(o.Probes())
+	}
+	allocs := func(trials, workers int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := EstimateAdaptiveCtx(context.Background(), trials, 7, workers, newState, trial, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(64, 1), allocs(4096, 1); many > few {
+		t.Errorf("sequential path: %v allocations for 4096 trials, %v for 64", many, few)
+	}
+	few, many := allocs(parallelMinTrials, 4), allocs(4096, 4)
+	if perTrial := (many - few) / float64(4096-parallelMinTrials); perTrial >= 0.05 {
+		t.Errorf("worker path: %v allocations for 4096 trials, %v for %d: %.3f per extra trial",
+			many, few, parallelMinTrials, perTrial)
 	}
 }

@@ -1,6 +1,9 @@
 package systems
 
 import (
+	"math/bits"
+
+	"probequorum/internal/bitset"
 	"probequorum/internal/coloring"
 	"probequorum/internal/probe"
 	"probequorum/internal/quorum"
@@ -15,6 +18,12 @@ import (
 // allocation at any universe size. The differential tests in
 // probingwords_test.go pin the two paths to each other element-for-
 // element.
+//
+// Probe_Maj probes in blocks. Its order is fixed and only its stopping
+// point depends on the answers, so it probes a word at a time
+// (WordsOracle.ProbeWord) in blocks sized so that a witness can complete
+// only at a block's last element. It stops at the element where the
+// bitset Probe_Maj stops, with the same probed prefix and witness.
 //
 // The pair is kept on purpose. Only against the concrete WordsOracle
 // does Probe inline into the strategy loop; a single form written
@@ -36,7 +45,11 @@ var (
 )
 
 // ProbeWitnessWords implements probe.WordsProber: Probe_Maj with the two
-// color classes accumulated in word buffers and counters.
+// color classes accumulated in word buffers and counters, probed in
+// blocks a word at a time. With g greens and r reds found so far, a color
+// reaches the threshold t within the next b = min(t-g, t-r) elements only
+// if all of them have it, and then at the last one, so each block ends
+// either unsettled or exactly where the bitset Probe_Maj stops.
 //
 //quorum:hotpath
 func (m *Maj) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
@@ -44,19 +57,26 @@ func (m *Maj) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
 	greens := o.AcquireWords()
 	reds := o.AcquireWords()
 	greenCount, redCount := 0, 0
-	for e := 0; e < m.n; e++ {
-		if o.Probe(e) == coloring.Green {
-			quorum.SetWordBit(greens, e)
-			greenCount++
-			if greenCount == t {
-				return probe.WordsWitness{Color: coloring.Green, Words: greens}
-			}
-		} else {
-			quorum.SetWordBit(reds, e)
-			redCount++
-			if redCount == t {
-				return probe.WordsWitness{Color: coloring.Red, Words: reds}
-			}
+	for e := 0; e < m.n; {
+		// The block ends inside the universe: with e = g + r,
+		// e + b = min(g, r) + t <= 2t - 1 = n.
+		for end := e + min(t-greenCount, t-redCount); e < end; {
+			w, j := e>>6, e&63
+			k := min(end-e, 64-j)
+			mask := bitset.LowMask(k) << uint(j)
+			red := o.ProbeWord(w, mask)
+			reds[w] |= red
+			greens[w] |= mask &^ red
+			r := bits.OnesCount64(red)
+			redCount += r
+			greenCount += k - r
+			e += k
+		}
+		switch t {
+		case greenCount:
+			return probe.WordsWitness{Color: coloring.Green, Words: greens}
+		case redCount:
+			return probe.WordsWitness{Color: coloring.Red, Words: reds}
 		}
 	}
 	panic("systems: Maj.ProbeWitnessWords exhausted the universe without a witness")

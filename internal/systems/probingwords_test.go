@@ -1,6 +1,7 @@
 package systems
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -101,6 +102,45 @@ func TestWordsProberMatchesBitset(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMajWordsProberBlocksMatchBitset pins block probing to the bitset
+// Probe_Maj: the words strategy probes in blocks a word at a time, so the
+// differential runs at word edges (63, 65, 127, 129, 191) up to n = 4095
+// and at p near 0, 1/2 and 1, where the blocks are longest, shortest and
+// most lopsided. Color, probe count, witness and probed set must match on
+// every coloring.
+func TestMajWordsProberBlocksMatchBitset(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 29))
+	for _, n := range []int{1, 3, 5, 63, 65, 127, 129, 191, 1025, 4095} {
+		m, err := NewMaj(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wo := probe.NewWordsOracle(n)
+		for _, p := range []float64{0, 0.01, 0.2, 0.45, 0.5, 0.55, 0.8, 0.99, 1} {
+			for i := 0; i < 300; i++ {
+				col := coloring.IID(n, p, rng)
+				bo := probe.NewOracle(col)
+				want := m.ProbeWitness(bo)
+
+				wo.SetColoring(col)
+				wo.Reset()
+				got := m.ProbeWitnessWords(wo)
+
+				if got.Color != want.Color || wo.Probes() != bo.Probes() {
+					t.Fatalf("n=%d p=%v draw %d: words %v after %d probes, bitset %v after %d",
+						n, p, i, got.Color, wo.Probes(), want.Color, bo.Probes())
+				}
+				if !quorum.SetOfWords(n, got.Words).Equal(want.Set) {
+					t.Fatalf("n=%d p=%v draw %d: witnesses differ", n, p, i)
+				}
+				if !quorum.SetOfWords(n, wo.ProbedWords()).Equal(bo.Probed()) {
+					t.Fatalf("n=%d p=%v draw %d: probed sets differ", n, p, i)
+				}
+			}
+		}
 	}
 }
 
@@ -219,6 +259,34 @@ func TestWordsProbeTrialAllocFree(t *testing.T) {
 			trial() // warm the arena to its high-water mark
 			if allocs := testing.AllocsPerRun(50, trial); allocs != 0 {
 				t.Fatalf("wide trial allocates %.1f objects per run, want 0", allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkMaj1025ProbeWitnessWords times the block-probing Probe_Maj of
+// a wide Monte Carlo trial at three failure probabilities. The colorings
+// are drawn ahead and cycled, so the draw stays out of the timing.
+func BenchmarkMaj1025ProbeWitnessWords(b *testing.B) {
+	m, err := NewMaj(1025)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := m.Size()
+	for _, p := range []float64{0.1, 0.3, 0.5} {
+		b.Run(fmt.Sprintf("p=%.1f", p), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(3, 4))
+			cols := make([][]uint64, 64)
+			for i := range cols {
+				cols[i] = coloring.IIDWords(n, p, rng)
+			}
+			wo := probe.NewWordsOracle(n)
+			i := 0
+			for b.Loop() {
+				copy(wo.RedWords(), cols[i%len(cols)])
+				i++
+				wo.Reset()
+				m.ProbeWitnessWords(wo)
 			}
 		})
 	}

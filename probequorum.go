@@ -258,9 +258,9 @@ func ColoringFromReds(n int, reds []int) *Coloring { return coloring.FromReds(n,
 func IIDColoring(n int, p float64, rng *rand.Rand) *Coloring { return coloring.IID(n, p, rng) }
 
 // IIDColoringWordsInto redraws a wide red mask in place under IID(p),
-// consuming the same PRNG stream as IIDColoring (one Float64 per
-// element); pair it with a WordsOracle's RedWords buffer in wide trial
-// loops.
+// consuming the same PRNG stream as IIDColoring (one Uint64 per element,
+// red iff rng.Float64() would be below p); pair it with a WordsOracle's
+// RedWords buffer in wide trial loops.
 func IIDColoringWordsInto(dst []uint64, n int, p float64, rng *rand.Rand) {
 	coloring.IIDWordsInto(dst, n, p, rng)
 }
